@@ -15,6 +15,23 @@ corners, and to the left of Re(xi) = a in the working regime
 -a < Im(w_i) < 0.  (For Im(w_i) < -a some poles would sit on the wrong
 side of the line and the printed identity genuinely fails, so that regime
 is rejected.)
+
+Separable pair kernels.  Both N = 2 integrals are double sums over one node
+set with a pair factor of d = xi_1 - xi_2, and both pair factors split
+exactly into products of single-node factors, so the double sums cost O(n)
+(contour) and O(n m) (spectral, m chi-grid nodes) instead of O(n^2) and
+O(n^2 m):
+
+* contour form, product test functions: -d sin(pi d)/pi has rank 4 (the
+  four sums of g, g xi against sin(pi xi), cos(pi xi));
+* spectral form: d sinh(pi d) cos(tau d)/pi has rank 8 per chi-grid node
+  tau (the sums of a, a t against e^{+-pi t} cos(tau t), e^{+-pi t} sin(tau t)).
+
+The single-node factors grow like e^{pi |Im xi|} (contour) or e^{pi |t|}
+(spectral), so the products can exceed the result by e^{2 pi H}, with H the
+largest such height; they are combined at 2 pi H log2(e) guard bits above
+the working precision.  The contour form keeps the pairwise O(n^2) sum for a
+plain callable f, which also serves as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -213,7 +230,8 @@ def contour_apply(f, w, u, a: float,
         s_N(xi) u^{sum_i (i w_i - xi_i)} prod_{i,j} Gamma(xi_j - i w_i) f(-i xi).
 
     Requires u > 0, a > 0, -a < Im(w_i), and f analytic/bounded on
-    {Im v >= -a}; N <= 2.
+    {Im v >= -a}; N <= 2.  At N = 2 a TestFunction takes the rank-4 pair
+    sum (`_rank4_pair_sum`); any other callable f takes the pairwise sum.
     """
     w = tuple(mp.mpc(v) for v in w)
     n = len(w)
@@ -262,14 +280,10 @@ def contour_apply(f, w, u, a: float,
                         acc += gw * f((-1j * xi,))
                 total = uw * acc / (2j * mp.pi)
             else:
-                acc = mp.mpc(0)
                 if separable:
-                    for xi1, gw1 in gvals:
-                        inner = mp.mpc(0)
-                        for xi2, gw2 in gvals:
-                            inner += gw2 * pair_coupling(xi1 - xi2)
-                        acc += gw1 * inner
+                    acc = _rank4_pair_sum(gvals, prec)
                 else:
+                    acc = mp.mpc(0)
                     for xi1, gw1 in gvals:
                         inner = mp.mpc(0)
                         for xi2, gw2 in gvals:
@@ -289,6 +303,31 @@ def contour_apply(f, w, u, a: float,
         f"contour quadrature did not converge "
         f"(last values {[mp.nstr(abs(h), 8) for h in history[-3:]]})"
     )
+
+
+def _guard_bits(height) -> int:
+    """Extra bits for a separated pair sum whose single-node factors reach
+    e^{pi height}: its rank-k products can exceed the result by e^{2 pi height}."""
+    return math.ceil(2 * math.pi * float(height) * math.log2(math.e))
+
+
+def _rank4_pair_sum(gvals, prec: int):
+    """sum_{j,k} g_j g_k pair_coupling(xi_j - xi_k) over all node pairs,
+    exactly as
+
+        -(2/pi) (S_xs S_c - S_xc S_s),  S_xs = sum g xi sin(pi xi), ...,
+
+    since -d sin(pi d) with d = xi_j - xi_k expands into four products of
+    single-node factors.  The four sums are combined at prec plus the guard
+    bits of the largest |Im xi|."""
+    height = max(abs(mp.im(xi)) for xi, _ in gvals)
+    with mp.workprec(prec + _guard_bits(height)):
+        g = [gw for _, gw in gvals]
+        gx = [gw * xi for xi, gw in gvals]
+        sin = [mp.sinpi(xi) for xi, _ in gvals]
+        cos = [mp.cospi(xi) for xi, _ in gvals]
+        return -2 / mp.pi * (mp.fdot(gx, sin) * mp.fdot(g, cos)
+                             - mp.fdot(gx, cos) * mp.fdot(g, sin))
 
 
 def lemma1_check(f: TestFunction, w, u, a: float,
@@ -403,7 +442,9 @@ def baxter_eigen_check(w, u, x, which: str = "second",
     the Gamma factors put their first pole ladder at heights -Im(w_j) > 0,
     and integrating below it (e.g. on the real line) drops those residues
     and breaks the identity.  The result is independent of the shift, which
-    the tests exercise.
+    the tests exercise, up to the N = 2 chi grid's discretisation error: at
+    large |delta| sinh(pi delta) amplifies it, and more so the higher the
+    line (relative error 8e-4 at a_shift = 3 on criterion 6's inputs).
     """
     if which not in ("first", "second"):
         raise DomainError("which must be 'first' or 'second'")
@@ -469,7 +510,8 @@ def baxter_eigen_check(w, u, x, which: str = "second",
 def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: int):
     """N = 2 spectral integral along (R + i a_shift)^2 with the Whittaker
     factor reduced to the relative-coordinate profile chi(xi_1 - xi_2),
-    which only sees the real parts, on a fixed grid."""
+    which only sees the real parts, on a fixed grid.  The double sum over
+    the spectral nodes is the rank-8 separation `_rank8_pair_sum`."""
     sigma = (x[0] + x[1]) / 2
     s = x[0] - x[1]
     z = 2 * mp.exp(-s / 2)
@@ -495,12 +537,6 @@ def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: i
             t = mid + node * step / 2
             tg.append((t, wt * step / 2 * 2 * mp.exp(-z * mp.cosh(t))))
 
-    def chi(delta):
-        acc = mp.mpf(0)
-        for t, wt in tg:
-            acc += wt * mp.cos(delta * t)
-        return acc
-
     def g(t):
         xi = t + 1j * a_shift
         val = mp.exp(1j * xi * log_u)
@@ -510,19 +546,9 @@ def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: i
 
     prev = None
     history = []
-    # Each level quadruples the pair count against a fixed chi grid.
     for level in range(min(cfg.max_depth, 4)):
         axis = [(t, wt * g(t)) for t, wt in nodes_1d(cfg.scheme, level, -T, T, prec)]
-        # The pair factor delta sinh(pi delta)/pi * chi(delta) is even and
-        # vanishes on the diagonal, so only i < j pairs contribute.
-        acc = mp.mpc(0)
-        for i1 in range(len(axis)):
-            xi1, a1 = axis[i1]
-            for i2 in range(i1 + 1, len(axis)):
-                xi2, a2 = axis[i2]
-                d = xi1 - xi2
-                acc += a1 * a2 * (d * mp.sinh(mp.pi * d) / mp.pi) * chi(d)
-        total = uw * 2 * acc / ((2 * mp.pi) ** 2 * 2)
+        total = uw * _rank8_pair_sum(axis, tg, prec, T) / ((2 * mp.pi) ** 2 * 2)
         history.append(total)
         if prev is not None:
             err = abs(total - prev)
@@ -534,3 +560,32 @@ def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: i
 
     raise QuadratureError("spectral quadrature did not converge "
                           f"(last {[mp.nstr(abs(h), 8) for h in history[-3:]]})")
+
+
+def _rank8_pair_sum(axis, chi_grid, prec: int, height):
+    """sum_{j,k} a_j a_k (d sinh(pi d)/pi) chi(d) over all node pairs, where
+    d = t_j - t_k and chi(d) = sum_m omega_m cos(tau_m d) on its grid.
+
+    For each tau, write A_0(c) = sum a_j e^{c t_j}, A_1(c) = sum a_j t_j e^{c t_j}
+    and F(c) = A_1(c) A_0(-c) - A_0(c) A_1(-c), the pair sum of a a d e^{c d}.
+    Expanding sinh and cos into four exponentials, and using F(-c) = -F(c),
+    the pair sum at tau is (F(pi + i tau) + F(pi - i tau)) / (2 pi).  With
+    A_k(+-pi +- i tau) = sum (a t^k e^{+-pi t}) (cos(tau t) +- i sin(tau t)),
+    that takes eight single-node sums per tau: O(n m) work instead of
+    O(n^2 m).  They are combined at prec plus the guard bits of |t| <= height.
+    """
+    with mp.workprec(prec + _guard_bits(height)):
+        up = [a * mp.exp(mp.pi * t) for t, a in axis]
+        down = [a * mp.exp(-mp.pi * t) for t, a in axis]
+        up_t = [b * t for (t, _), b in zip(axis, up)]
+        down_t = [b * t for (t, _), b in zip(axis, down)]
+        acc = mp.mpc(0)
+        for tau, omega in chi_grid:
+            cos, sin = zip(*(mp.cos_sin(tau * t) for t, _ in axis))
+            # (F(pi + i tau) + F(pi - i tau)) / 2: the cross terms of the
+            # conjugate pairs cancel.
+            acc += omega * (mp.fdot(up_t, cos) * mp.fdot(down, cos)
+                            + mp.fdot(up_t, sin) * mp.fdot(down, sin)
+                            - mp.fdot(up, cos) * mp.fdot(down_t, cos)
+                            - mp.fdot(up, sin) * mp.fdot(down_t, sin))
+        return acc / mp.pi

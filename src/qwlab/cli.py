@@ -57,14 +57,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=False, prec_bits=False, tolerance=False):
+        """--out everywhere; the other flags only where run() reads them, so
+        a flag the command would ignore is a usage error."""
         p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--prec-bits", type=int, default=None)
-        p.add_argument("--tolerance", type=float, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if prec_bits:
+            p.add_argument("--prec-bits", type=int, default=None)
+        if tolerance:
+            p.add_argument("--tolerance", type=float, default=None)
 
     p = sub.add_parser("verify-noumi", help="eigenrelation of the q-integral operator, exact")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--lambda", dest="lam", type=_ints, default=(1,))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--q", type=parse_rational, default=None)
@@ -73,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=5)
 
     p = sub.add_parser("verify-d1", help="first q-difference operator eigenrelation, exact")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--lambda", dest="lam", type=_ints, default=(1,))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--q", type=parse_rational, default=None)
@@ -81,12 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=5)
 
     p = sub.add_parser("verify-gamma-identity", help="Gamma ratio identity behind the residue matching")
-    common(p)
+    common(p, prec_bits=True, tolerance=True)
     p.add_argument("--r", type=_complexes, default=(0.3 + 0.1j, -0.2))
     p.add_argument("--nu", type=_ints, default=(2, 1))
 
     p = sub.add_parser("verify-lemma1", help="residue form vs contour form of the dual operator")
-    common(p)
+    common(p, prec_bits=True, tolerance=True)
     p.add_argument("--kind", choices=("constant", "product-pole", "exp-cutoff"),
                    default="product-pole")
     p.add_argument("--b", type=float, default=3.0)
@@ -97,14 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncation", type=int, default=40, help="residue shell cap")
 
     p = sub.add_parser("verify-stade", help="cutoff integral of two Whittaker functions vs Gamma product")
-    common(p)
+    common(p, tolerance=True)
     p.add_argument("--which", choices=("first", "second"), default="first")
     p.add_argument("--u", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=_complexes, default=(0.7,))
     p.add_argument("--nu", type=_complexes, default=(0.6,))
 
     p = sub.add_parser("verify-baxter", help="dual Baxter eigenrelation on Whittaker functions")
-    common(p)
+    common(p, tolerance=True)
     p.add_argument("--which", choices=("first", "second"), default="second")
     p.add_argument("--w", type=_complexes, default=(0.3 - 0.4j,))
     p.add_argument("--u", type=float, default=1.0)
@@ -112,19 +117,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-shift", type=float, default=None)
 
     p = sub.add_parser("limit-exp", help="q-exponential factor limit ladder")
-    common(p)
+    common(p, prec_bits=True)
     p.add_argument("--eps-list", type=_floats, default=DEFAULT_EPS_LADDER)
     p.add_argument("--u", type=float, default=1.0)
     p.add_argument("--x-n", type=float, default=0.0)
 
     p = sub.add_parser("limit-terms", help="termwise operator factor limits")
-    common(p)
+    common(p, prec_bits=True)
     p.add_argument("--eps-list", type=_floats, default=DEFAULT_EPS_LADDER)
     p.add_argument("--nu", type=_ints, default=(1, 0))
     p.add_argument("--w", type=_complexes, default=(0.5, -0.2))
 
     p = sub.add_parser("limit-sweep", help="scaled q-Whittaker to Whittaker sweep (CSV)")
-    common(p)
+    common(p, prec_bits=True)
     p.add_argument("--eps-list", type=_floats, default=DEFAULT_EPS_LADDER)
     p.add_argument("--x", type=_floats, default=(0.3, -0.3))
     p.add_argument("--w", type=_complexes, default=(0.5, -0.2))
@@ -138,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_rationals, default=None)
 
     p = sub.add_parser("eval-whittaker", help="evaluate a Whittaker function by quadrature")
-    common(p)
+    common(p, prec_bits=True, tolerance=True)
     p.add_argument("--lambda", dest="lam", type=_complexes, default=(0.5, -0.2))
     p.add_argument("--x", type=_floats, default=(0.3, -0.3))
     p.add_argument("--scheme", choices=SCHEMES, default=GAUSS_LEGENDRE)

@@ -51,6 +51,12 @@ class QuadratureConfig:
             return self.prec_bits
         return max(64, int(-math.log2(self.target_rel_error)) + 30)
 
+    def integrand_prec(self) -> int:
+        """Precision the integrand is evaluated and summed at: extra bits keep
+        near-endpoint tanh-sinh nodes off the boundary and absorb
+        accumulation error in long sums."""
+        return self.working_prec() + 30
+
 
 @dataclass
 class QuadResult:
@@ -141,9 +147,7 @@ def _level_range(scheme: str, max_depth: int):
 def integrate_1d(f, lo, hi, cfg: QuadratureConfig) -> QuadResult:
     """Adaptive 1-d integral of f over [lo, hi]."""
     prec = cfg.working_prec()
-    # Extra bits keep near-endpoint tanh-sinh nodes off the boundary and
-    # absorb accumulation error in long sums.
-    with mp.workprec(prec + 30):
+    with mp.workprec(cfg.integrand_prec()):
         prev = None
         history = []
         for level in _level_range(cfg.scheme, cfg.max_depth):
@@ -168,7 +172,7 @@ def integrate_nd(f, boxes, cfg: QuadratureConfig) -> QuadResult:
     if len(boxes) == 1:
         return integrate_1d(lambda x: f((x,)), boxes[0][0], boxes[0][1], cfg)
     prec = cfg.working_prec()
-    with mp.workprec(prec + 30):
+    with mp.workprec(cfg.integrand_prec()):
         prev = None
         history = []
         for level in _level_range(cfg.scheme, cfg.max_depth):

@@ -104,7 +104,9 @@ def whittaker_eval(lam, x, cfg: QuadratureConfig | None = None) -> QuadResult:
     if n == 2:
         l1, l2 = lam
         x1, x2 = x
-        phase2 = 1j * l2 * (x1 + x2)
+        # At the integrand's precision: the caller's would round the phase.
+        with mp.workprec(cfg.integrand_prec()):
+            phase2 = 1j * l2 * (x1 + x2)
 
         def integrand2(t):
             return mp.exp(
@@ -180,9 +182,11 @@ def pair_profile(mu1, mu2, s, cfg: QuadratureConfig | None = None) -> QuadResult
     """
     if cfg is None:
         cfg = DEFAULT_WHITTAKER_CFG
-    mu1, mu2 = mp.mpc(mu1), mp.mpc(mu2)
-    s = mp.mpf(s)
-    z = 2 * mp.exp(-s / 2)
+    # z at the integrand's precision: the caller's would round it, and the
+    # quadrature's error estimate cannot see that.
+    with mp.workprec(cfg.integrand_prec()):
+        mu1, mu2 = mp.mpc(mu1), mp.mpc(mu2)
+        z = 2 * mp.exp(-mp.mpf(s) / 2)
     rate = abs(mp.im(mu1 - mu2))  # real growth rate of the phase factor
     # Box: z cosh(t) must dominate both the target accuracy and the phase growth.
     need = -mp.log(mp.mpf(cfg.target_rel_error)) + 45

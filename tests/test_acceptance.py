@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see one line per criterion.
 The full ladder takes a few minutes; the heavy entries are the nested
-quadratures (residue-vs-contour, the N = 2 cutoff integrals and spectral
-integrals).
+quadratures of the N = 2 cutoff integrals (criterion 5) and the N = 3
+Whittaker reflection (criterion 8).
 """
 
 import pytest

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qwlab.baxter import (
     TestFunction as CutoffFunction,
+    _rank8_pair_sum,
     baxter_eigen_check,
     contour_apply,
     gamma_identity_check,
@@ -14,6 +15,7 @@ from qwlab.baxter import (
     residue_apply,
 )
 from qwlab.qcore import DomainError
+from qwlab.quadrature import GAUSS_LEGENDRE, QuadratureConfig
 
 
 def setup_function(_fn):
@@ -183,3 +185,52 @@ def test_eigen_shift_independence():
 def test_eigen_requires_lower_half_plane():
     with pytest.raises(DomainError):
         baxter_eigen_check((mp.mpc(0.3, 0.1),), 1.0, (0.2,), "second")
+
+
+W2 = (mp.mpc(0, -0.5), mp.mpc(1, -0.6))
+
+
+@pytest.mark.parametrize("prec", [100, 200])
+@pytest.mark.parametrize("f", [CutoffFunction("product-pole", b=3.0),
+                               CutoffFunction("exp-cutoff", c=0.3)],
+                         ids=lambda f: f.kind)
+def test_separable_pair_sum_matches_pairwise_oracle(f, prec):
+    # Two levels: the value is level 1's sum, the error its distance from
+    # level 0's.  A plain callable takes the pairwise O(n^2) path.
+    cfg = QuadratureConfig(scheme=GAUSS_LEGENDRE, target_rel_error=1e-3,
+                           max_depth=2, prec_bits=prec)
+    separable = contour_apply(f, W2, 1.0, 1.0, cfg)
+    pairwise = contour_apply(lambda v: f(v), W2, 1.0, 1.0, cfg)
+    assert separable.diagnostics["levels"] == pairwise.diagnostics["levels"] == 2
+    unit = mp.mpf(2) ** (6 - prec) * abs(pairwise.value)
+    assert abs(separable.value - pairwise.value) < unit
+    assert abs(separable.error - pairwise.error) < unit
+
+
+@pytest.mark.parametrize("prec", [64, 128])
+def test_spectral_pair_sum_matches_direct_pair_loop(prec):
+    rng = random.Random(5)
+    height = 3.0
+    with mp.workprec(prec):
+        axis = [(mp.mpf(rng.uniform(-height, height)),
+                 mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(12)]
+        chi_grid = [(mp.mpf(rng.uniform(0, 4)), mp.mpf(rng.uniform(0, 1)))
+                    for _ in range(5)]
+        separable = _rank8_pair_sum(axis, chi_grid, prec, height)
+    with mp.workprec(prec + 60):
+        direct = mp.mpc(0)
+        for j in range(len(axis)):
+            for k in range(j + 1, len(axis)):
+                (tj, aj), (tk, ak) = axis[j], axis[k]
+                d = tj - tk
+                chi = mp.fsum(omega * mp.cos(tau * d) for tau, omega in chi_grid)
+                direct += 2 * aj * ak * (d * mp.sinh(mp.pi * d) / mp.pi) * chi
+        assert abs(separable - direct) < mp.mpf(2) ** -prec * abs(direct)
+
+
+def test_eigen_pair_shift_independence():
+    w = (mp.mpc(0.2, -0.5), mp.mpc(-0.1, -0.6))
+    r1 = baxter_eigen_check(w, 1.0, (0.3, -0.3), "second", tolerance=1e-3, a_shift=1.1)
+    r2 = baxter_eigen_check(w, 1.0, (0.3, -0.3), "second", tolerance=1e-3, a_shift=2.0)
+    assert r1.passed and r2.passed
+    assert abs(r1.rhs - r2.rhs) < mp.mpf("1e-6") * abs(r1.rhs)

@@ -111,3 +111,21 @@ def test_suite_quick_single_criterion(capsys):
     last = json.loads(out.strip().split("\n")[-1])
     assert last["check_id"] == "suite-summary"
     assert last["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--quick", "--criteria", "5", "--tolerance", "1e-30"],
+    ["suite", "--quick", "--prec-bits", "400"],
+    ["verify-stade", "--prec-bits", "400"],
+    ["verify-stade", "--seed", "9"],
+    ["verify-baxter", "--prec-bits", "400"],
+    ["verify-noumi", "--tolerance", "1e-3"],
+    ["verify-gamma-identity", "--seed", "3"],
+    ["limit-exp", "--tolerance", "1e-3"],
+    ["eval-macdonald", "--seed", "1"],
+])
+def test_flag_the_command_ignores_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -182,3 +182,41 @@ def test_stade_rejects_bad_domain():
         stade_check(-1.0, (0.7,), (0.6,), "first")
     with pytest.raises(DomainError):
         stade_check(1.0, (0.7,), (0.6,), "sideways")
+
+
+def test_n2_error_estimates_bound_the_k_bessel_closed_form():
+    # psi_lam(x) = e^{i(lam1 + lam2)(x1 + x2)/2} 2 K_{i(lam1 - lam2)}(2 e^{-(x1 - x2)/2})
+    # (the GL(2) Whittaker function).  Called at mpmath's default 53 bits,
+    # the reported error must still bound the true error up to 16 units of
+    # the 64-bit working precision.
+    rng = random.Random("n2-error-estimates")
+    whittaker_points = [
+        ((round(rng.uniform(-1, 1), 4), round(rng.uniform(-1, 1), 4)),
+         (round(rng.uniform(-1, 1), 4), round(rng.uniform(-1, 1), 4)))
+        for _ in range(8)]
+    profile_points = [
+        (complex(round(rng.uniform(-1, 1), 4), round(rng.uniform(-0.3, 0.3), 4)),
+         complex(round(rng.uniform(-1, 1), 4), round(rng.uniform(-0.3, 0.3), 4)),
+         round(rng.uniform(-2, 3), 4))
+        for _ in range(48)]
+
+    def closed_form(mu1, mu2, s):
+        return 2 * mp.besselk(1j * (mp.mpc(mu1) - mp.mpc(mu2)), 2 * mp.exp(-mp.mpf(s) / 2))
+
+    cases = []
+    for lam, x in whittaker_points:
+        with mp.workprec(53):
+            res = whittaker_eval(lam, x)
+        with mp.workprec(128):
+            anchor = (mp.exp(1j * (mp.mpc(lam[0]) + lam[1]) * (mp.mpf(x[0]) + x[1]) / 2)
+                      * closed_form(lam[0], lam[1], mp.mpf(x[0]) - x[1]))
+        cases.append((res, anchor))
+    for mu1, mu2, s in profile_points:
+        with mp.workprec(53):
+            res = pair_profile(mu1, mu2, s)
+        with mp.workprec(128):
+            cases.append((res, closed_form(mu1, mu2, s)))
+    with mp.workprec(128):
+        for res, anchor in cases:
+            slack = 16 * mp.mpf(2) ** -64 * abs(anchor)
+            assert abs(res.value - anchor) <= res.error + slack
