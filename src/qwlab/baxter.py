@@ -293,8 +293,7 @@ def contour_apply(f, w, u, a: float,
             history.append(total)
             if prev is not None:
                 err = abs(total - prev)
-                scale = max(abs(total), mp.mpf(cfg.abs_floor))
-                if err <= cfg.target_rel_error * scale:
+                if err <= cfg.target_rel_error * abs(total):
                     return QuadResult(+total, +err, {"levels": len(history)})
             prev = total
     from .quadrature import QuadratureError

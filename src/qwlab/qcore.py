@@ -13,7 +13,6 @@ convert an exact input to floating point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -41,29 +40,6 @@ def set_precision(bits: int):
     if bits < MIN_PREC_BITS:
         raise DomainError(f"precision must be >= {MIN_PREC_BITS} bits, got {bits}")
     return mp.workprec(bits)
-
-
-def to_mpf(x) -> mp.mpf:
-    """Convert x (Fraction, int, float, mpf, or decimal string) to mpf."""
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
-
-
-def to_mpc(x) -> mp.mpc:
-    """Convert x to mpc; Fractions convert exactly at the working precision."""
-    if isinstance(x, Fraction):
-        return mp.mpc(to_mpf(x))
-    return mp.mpc(x)
-
-
-def is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
-
-
-def abs_val(x):
-    """|x| in whatever domain x lives in."""
-    return abs(x)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ class QuadratureConfig:
     target_rel_error: float = 1e-10
     max_depth: int = 8
     prec_bits: int | None = None
-    abs_floor: float = 0.0  # treat |I| below this as zero when testing rel. error
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -157,8 +156,7 @@ def integrate_1d(f, lo, hi, cfg: QuadratureConfig) -> QuadResult:
             history.append(total)
             if prev is not None:
                 err = abs(total - prev)
-                scale = max(abs(total), mp.mpf(cfg.abs_floor))
-                if err <= cfg.target_rel_error * scale:
+                if err <= cfg.target_rel_error * abs(total):
                     return QuadResult(+total, +err, {"levels": len(history)})
             prev = total
     raise QuadratureError(
@@ -181,8 +179,7 @@ def integrate_nd(f, boxes, cfg: QuadratureConfig) -> QuadResult:
             history.append(total)
             if prev is not None:
                 err = abs(total - prev)
-                scale = max(abs(total), mp.mpf(cfg.abs_floor))
-                if err <= cfg.target_rel_error * scale:
+                if err <= cfg.target_rel_error * abs(total):
                     return QuadResult(+total, +err, {"levels": len(history)})
             prev = total
     raise QuadratureError(

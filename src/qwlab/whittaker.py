@@ -31,7 +31,6 @@ from .quadrature import (
     QuadratureConfig,
     QuadResult,
     integrate_1d,
-    integrate_nd,
 )
 from .report import VerificationReport, comparison_report
 
@@ -163,8 +162,7 @@ def _pattern_quad_3(lam, x, box, cfg: QuadratureConfig) -> QuadResult:
             history.append(total)
             if prev is not None:
                 err = abs(total - prev)
-                scale = max(abs(total), mp.mpf(cfg.abs_floor))
-                if err <= cfg.target_rel_error * scale:
+                if err <= cfg.target_rel_error * abs(total):
                     return QuadResult(+total, +err, {"levels": len(history)})
             prev = total
     raise QuadratureError(

@@ -1,8 +1,13 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from qwlab.cli import run
+from qwlab.cli import build_parser, run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _capture(capsys):
@@ -129,3 +134,18 @@ def test_flag_the_command_ignores_is_usage_error(argv, capsys):
         run(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_every_readme_cli_example_parses():
+    block = re.search(r"^## CLI\n\n```bash\n(.*?)^```", README.read_text(),
+                      re.S | re.M).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("qwlab ")]
+    assert len(lines) >= 12
+    parser = build_parser()
+    rejected = []
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            rejected.append(line)
+    assert rejected == []
