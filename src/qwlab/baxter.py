@@ -42,13 +42,16 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .gamma import GammaPoleError, gamma_c
-from .qcore import DomainError, QwlabError
+from .qcore import DomainError, QwlabError, compositions_of_weight
 from .quadrature import (
     GAUSS_LEGENDRE,
+    GL_ORDER,
     QuadratureConfig,
     QuadResult,
+    gauss_legendre_rule,
     integrate_1d,
     nodes_1d,
+    refine,
 )
 from .report import VerificationReport, comparison_report
 from .whittaker import pair_coupling, whittaker_eval
@@ -106,15 +109,6 @@ class TestFunction:
 # ---------------------------------------------------------------------------
 
 
-def _shells(n: int, k: int):
-    if n == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in _shells(n - 1, k - first):
-            yield (first,) + rest
-
-
 def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
     """sum_{|nu| <= cap} u^{|nu|} cross(nu) GammaRatio(nu) f(w + i nu).
 
@@ -160,7 +154,7 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
     upow = mp.mpc(1)
     for k in range(cap + 1):
         shell = mp.mpc(0)
-        for nu in _shells(n, k):
+        for nu in compositions_of_weight(k, n):
             cross = mp.mpc(1)
             for i in range(n):
                 for j in range(i + 1, n):
@@ -262,12 +256,7 @@ def contour_apply(f, w, u, a: float,
                 g = g * f.axis_value(-1j * xi)
             return g
 
-        prev = None
-        history = []
-        # Pair counts grow 4x per level; past level 5 a miss means the
-        # target is out of reach, not under-resolved.
-        max_level = cfg.max_depth if n == 1 else min(cfg.max_depth, 5)
-        for level in range(max_level):
+        def value_at(level):
             nodes = _bent_contour(w, a, float(u), cfg, level, prec)
             gvals = [(xi, wt * axis_factor(xi)) for xi, wt in nodes]
             if n == 1:
@@ -278,30 +267,22 @@ def contour_apply(f, w, u, a: float,
                 else:
                     for xi, gw in gvals:
                         acc += gw * f((-1j * xi,))
-                total = uw * acc / (2j * mp.pi)
+                return uw * acc / (2j * mp.pi)
+            if separable:
+                acc = _rank4_pair_sum(gvals, prec)
             else:
-                if separable:
-                    acc = _rank4_pair_sum(gvals, prec)
-                else:
-                    acc = mp.mpc(0)
-                    for xi1, gw1 in gvals:
-                        inner = mp.mpc(0)
-                        for xi2, gw2 in gvals:
-                            inner += gw2 * pair_coupling(xi1 - xi2) * f((-1j * xi1, -1j * xi2))
-                        acc += gw1 * inner
-                total = uw * acc / ((2j * mp.pi) ** 2 * 2)
-            history.append(total)
-            if prev is not None:
-                err = abs(total - prev)
-                if err <= cfg.target_rel_error * abs(total):
-                    return QuadResult(+total, +err, {"levels": len(history)})
-            prev = total
-    from .quadrature import QuadratureError
+                acc = mp.mpc(0)
+                for xi1, gw1 in gvals:
+                    inner = mp.mpc(0)
+                    for xi2, gw2 in gvals:
+                        inner += gw2 * pair_coupling(xi1 - xi2) * f((-1j * xi1, -1j * xi2))
+                    acc += gw1 * inner
+            return uw * acc / ((2j * mp.pi) ** 2 * 2)
 
-    raise QuadratureError(
-        f"contour quadrature did not converge "
-        f"(last values {[mp.nstr(abs(h), 8) for h in history[-3:]]})"
-    )
+        # Pair counts grow 4x per level; past level 5 a miss means the
+        # target is out of reach, not under-resolved.
+        max_level = cfg.max_depth if n == 1 else min(cfg.max_depth, 5)
+        return refine(value_at, range(max_level), cfg, "contour quadrature")
 
 
 def _guard_bits(height) -> int:
@@ -526,8 +507,6 @@ def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: i
     panel = min(0.5, 4 * math.pi / delta_max)
     panels = max(8, int(math.ceil(tmax / panel)))
     tg = []
-    from .quadrature import gauss_legendre_rule, GL_ORDER
-
     rule = gauss_legendre_rule(GL_ORDER, prec)
     step = mp.mpf(tmax) / panels
     for p in range(panels):
@@ -543,22 +522,13 @@ def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: i
         # phase from psi_{sign * xi}: e^{sign * i xi sigma} per coordinate
         return val * mp.exp(sign * 1j * xi * sigma)
 
-    prev = None
-    history = []
-    for level in range(min(cfg.max_depth, 4)):
+    def value_at(level):
         axis = [(t, wt * g(t)) for t, wt in nodes_1d(cfg.scheme, level, -T, T, prec)]
-        total = uw * _rank8_pair_sum(axis, tg, prec, T) / ((2 * mp.pi) ** 2 * 2)
-        history.append(total)
-        if prev is not None:
-            err = abs(total - prev)
-            if err <= cfg.target_rel_error * abs(total):
-                return +total, {"levels": len(history), "quad_error": +err,
-                                "T": T, "chi_nodes": len(tg), "a_shift": a_shift}
-        prev = total
-    from .quadrature import QuadratureError
+        return uw * _rank8_pair_sum(axis, tg, prec, T) / ((2 * mp.pi) ** 2 * 2)
 
-    raise QuadratureError("spectral quadrature did not converge "
-                          f"(last {[mp.nstr(abs(h), 8) for h in history[-3:]]})")
+    quad = refine(value_at, range(min(cfg.max_depth, 4)), cfg, "spectral quadrature")
+    return quad.value, {**quad.diagnostics, "quad_error": quad.error,
+                        "T": T, "chi_nodes": len(tg), "a_shift": a_shift}
 
 
 def _rank8_pair_sum(axis, chi_grid, prec: int, height):

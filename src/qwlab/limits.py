@@ -39,7 +39,7 @@ phase spread and high precision keeps it harmless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 
@@ -138,7 +138,7 @@ def scaling_map(p: ScalingPoint) -> ScaledImage:
 
 def _scaled_value(p: ScalingPoint, prec: int) -> mp.mpc:
     with set_precision(prec):
-        img = scaling_map(ScalingPoint(p.epsilon, p.x, p.w, p.u, prec))
+        img = scaling_map(replace(p, prec_bits=prec))
         eps = mp.mpf(p.epsilon)
         n = p.n
         poly = qwhittaker_branch_eval(img.lam, img.z, img.q)

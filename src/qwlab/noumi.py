@@ -17,9 +17,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
-from .qcore import DomainError, ZetaSeries, qbinomial_ratio_series, qpoch_finite
+from .qcore import (
+    DomainError,
+    ZetaSeries,
+    compositions_of_weight,
+    qbinomial_ratio_series,
+    qpoch_finite,
+)
 from .report import VerificationReport
 from .sampling import distinct_rationals, unit_interval_rational
 from .symfunc import (
@@ -29,16 +35,6 @@ from .symfunc import (
     eval_symmetric,
     macdonald_gram_schmidt,
 )
-
-
-def compositions_of_weight(k: int, n: int) -> Iterator[tuple]:
-    """All nu in Z_{>=0}^n with |nu| = k, in lexicographic order."""
-    if n == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in compositions_of_weight(k - first, n - 1):
-            yield (first,) + rest
 
 
 def noumi_coeff(nu: Sequence[int], z: Sequence, q, t):
@@ -114,7 +110,7 @@ def noumi_eigenvalue_series(sig: Sequence[int], n: int, q, t, order: int) -> Zet
 def _generic_point(rng: random.Random, n: int, q: Fraction, order: int) -> tuple:
     """Distinct nonzero rationals avoiding z_i q^m = z_j for 1 <= m <= order."""
     for _ in range(10000):
-        z = distinct_rationals(rng, n, nonzero=True)
+        z = distinct_rationals(rng, n)
         ok = True
         for i in range(n):
             for j in range(n):
@@ -186,7 +182,7 @@ def macdonald_d1_check(lam, n: int, q=None, t=None, samples: int = 5,
     for s in range(samples):
         qs = Fraction(q) if q is not None else unit_interval_rational(rng)
         ts = Fraction(t) if t is not None else unit_interval_rational(rng)
-        z = distinct_rationals(rng, n, nonzero=True)
+        z = distinct_rationals(rng, n)
         poly = macdonald_gram_schmidt(lam, qs, ts, nvars=n)
         lhs = d1_apply_point(poly, z, qs, ts)
         rhs = d1_eigenvalue(lam, n, qs, ts) * eval_symmetric(poly, z)

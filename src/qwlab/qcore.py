@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import mpmath as mp
 
@@ -103,6 +103,23 @@ def zeta_series_mul(s1: ZetaSeries, s2: ZetaSeries) -> ZetaSeries:
             acc = acc + s1.coeffs[i] * s2.coeffs[k - i]
         out.append(acc)
     return ZetaSeries(tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# Shift compositions
+# ---------------------------------------------------------------------------
+
+
+def compositions_of_weight(k: int, n: int) -> Iterator[tuple]:
+    """All nu in Z_{>=0}^n with |nu| = k, in lexicographic order: the shift
+    vectors of the zeta^k term of the Noumi operator and of the k-th shell
+    of the dual Baxter residue series."""
+    if n == 1:
+        yield (k,)
+        return
+    for first in range(k + 1):
+        for rest in compositions_of_weight(k - first, n - 1):
+            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,12 @@ Two one-dimensional rules are provided and cross-validated in the tests:
   panel count.
 
 Multi-dimensional integrals are tensor products of the same node sets.
-Refinement stops when two successive levels agree to the target relative
-error; the last disagreement is reported as the error estimate.
+
+`refine` is the one place the stopping rule lives: refinement stops when
+two successive levels agree to the target relative error, and the last
+disagreement is reported as the error estimate.  Every refined value in the
+lab (these integrals, the N = 3 pattern sum, the contour and spectral sums
+of the dual Baxter checks) goes through it.
 """
 
 from __future__ import annotations
@@ -143,26 +147,38 @@ def _level_range(scheme: str, max_depth: int):
     return range(start, start + max_depth)
 
 
+def refine(value_at, levels, cfg: QuadratureConfig, label: str) -> QuadResult:
+    """Evaluate value_at(level) over the levels until two successive values
+    agree to cfg.target_rel_error; the last difference is the error estimate.
+
+    The caller sets the working precision around the call."""
+    history = []
+    for level in levels:
+        total = value_at(level)
+        if history:
+            err = abs(total - history[-1])
+            if err <= cfg.target_rel_error * abs(total):
+                return QuadResult(+total, +err, {"levels": len(history) + 1})
+        history.append(total)
+    raise QuadratureError(
+        f"{label} did not converge "
+        f"(last values {[mp.nstr(abs(h), 8) for h in history[-3:]]})"
+    )
+
+
 def integrate_1d(f, lo, hi, cfg: QuadratureConfig) -> QuadResult:
     """Adaptive 1-d integral of f over [lo, hi]."""
     prec = cfg.working_prec()
+    label = f"1-d quadrature on [{lo}, {hi}]"
+
+    def value_at(level):
+        total = mp.mpf(0)
+        for x, w in nodes_1d(cfg.scheme, level, lo, hi, prec):
+            total = total + w * f(x)
+        return total
+
     with mp.workprec(cfg.integrand_prec()):
-        prev = None
-        history = []
-        for level in _level_range(cfg.scheme, cfg.max_depth):
-            total = mp.mpf(0)
-            for x, w in nodes_1d(cfg.scheme, level, lo, hi, prec):
-                total = total + w * f(x)
-            history.append(total)
-            if prev is not None:
-                err = abs(total - prev)
-                if err <= cfg.target_rel_error * abs(total):
-                    return QuadResult(+total, +err, {"levels": len(history)})
-            prev = total
-    raise QuadratureError(
-        f"1-d quadrature did not converge on [{lo}, {hi}] "
-        f"(last values {[mp.nstr(abs(h), 8) for h in history[-3:]]})"
-    )
+        return refine(value_at, _level_range(cfg.scheme, cfg.max_depth), cfg, label)
 
 
 def integrate_nd(f, boxes, cfg: QuadratureConfig) -> QuadResult:
@@ -170,22 +186,14 @@ def integrate_nd(f, boxes, cfg: QuadratureConfig) -> QuadResult:
     if len(boxes) == 1:
         return integrate_1d(lambda x: f((x,)), boxes[0][0], boxes[0][1], cfg)
     prec = cfg.working_prec()
+
+    def value_at(level):
+        axes = [nodes_1d(cfg.scheme, level, lo, hi, prec) for lo, hi in boxes]
+        return _tensor_sum(f, axes, ())
+
     with mp.workprec(cfg.integrand_prec()):
-        prev = None
-        history = []
-        for level in _level_range(cfg.scheme, cfg.max_depth):
-            axes = [nodes_1d(cfg.scheme, level, lo, hi, prec) for lo, hi in boxes]
-            total = _tensor_sum(f, axes, ())
-            history.append(total)
-            if prev is not None:
-                err = abs(total - prev)
-                if err <= cfg.target_rel_error * abs(total):
-                    return QuadResult(+total, +err, {"levels": len(history)})
-            prev = total
-    raise QuadratureError(
-        f"{len(boxes)}-d quadrature did not converge "
-        f"(last values {[mp.nstr(abs(h), 8) for h in history[-3:]]})"
-    )
+        return refine(value_at, _level_range(cfg.scheme, cfg.max_depth), cfg,
+                      f"{len(boxes)}-d quadrature")
 
 
 def _tensor_sum(f, axes, prefix):

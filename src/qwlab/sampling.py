@@ -14,36 +14,28 @@ MAX_NUM = 100
 MAX_DEN = 100
 
 
-def rational(rng: random.Random, signed: bool = True, nonzero: bool = False) -> Fraction:
+def rational(rng: random.Random) -> Fraction:
+    """A nonzero rational num/den with num <= MAX_NUM and den <= MAX_DEN,
+    negated with probability 1/2."""
     while True:
         v = Fraction(rng.randint(0, MAX_NUM), rng.randint(1, MAX_DEN))
-        if signed and rng.random() < 0.5:
+        if rng.random() < 0.5:
             v = -v
-        if nonzero and v == 0:
-            continue
-        return v
+        if v != 0:
+            return v
 
 
-def unit_interval_rational(rng: random.Random, allow_zero: bool = False) -> Fraction:
-    """A rational strictly inside (0, 1), or [0, 1) when allow_zero is set."""
-    while True:
-        den = rng.randint(2, MAX_DEN)
-        num = rng.randint(0 if allow_zero else 1, den - 1)
-        v = Fraction(num, den)
-        if v == 0 and not allow_zero:
-            continue
-        return v
+def unit_interval_rational(rng: random.Random) -> Fraction:
+    """A rational strictly inside (0, 1)."""
+    den = rng.randint(2, MAX_DEN)
+    return Fraction(rng.randint(1, den - 1), den)
 
 
-def distinct_rationals(rng: random.Random, count: int, nonzero: bool = True) -> tuple:
+def distinct_rationals(rng: random.Random, count: int) -> tuple:
+    """count distinct nonzero rationals."""
     vals: list[Fraction] = []
     while len(vals) < count:
-        v = rational(rng, nonzero=nonzero)
+        v = rational(rng)
         if v not in vals:
             vals.append(v)
     return tuple(vals)
-
-
-def complex_in_box(rng: random.Random, re_lo: float, re_hi: float,
-                   im_lo: float, im_hi: float) -> complex:
-    return complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))

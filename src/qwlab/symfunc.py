@@ -187,31 +187,15 @@ def eval_symmetric(f: SymmetricPolynomial, z) -> object:
 # ---------------------------------------------------------------------------
 
 
-def solve_exact(A, rhs):
-    """Solve A x = rhs by Gaussian elimination over exact scalars."""
+def solve_exact(A, B):
+    """Solve A X = B by Gauss-Jordan elimination over exact scalars.  B and
+    the returned X are lists of rows, one column per right-hand side."""
     n = len(A)
-    M = [list(row) + [r] for row, r in zip(A, rhs)]
+    M = [list(row) + list(b) for row, b in zip(A, B)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
         if pivot is None:
             raise SingularMatrixError("singular system in exact solve")
-        M[col], M[pivot] = M[pivot], M[col]
-        pv = M[col][col]
-        M[col] = [v / pv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
-
-
-def invert_exact(A):
-    n = len(A)
-    M = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("singular matrix")
         M[col], M[pivot] = M[pivot], M[col]
         pv = M[col][col]
         M[col] = [v / pv for v in M[col]]
@@ -270,7 +254,8 @@ def monomial_to_power(n: int):
     parts, R = power_to_monomial(n)
     idx = {p: i for i, p in enumerate(parts)}
     dense = [[Fraction(R[mu].get(kappa, 0)) for kappa in parts] for mu in parts]
-    inv = invert_exact(dense)
+    identity = [[Fraction(int(i == j)) for j in range(len(parts))] for i in range(len(parts))]
+    inv = solve_exact(dense, identity)
     A = {}
     for lam in parts:
         A[lam] = {mu: inv[idx[lam]][idx[mu]] for mu in parts if inv[idx[lam]][idx[mu]] != 0}
@@ -333,7 +318,7 @@ def macdonald_gram_schmidt(lam, q, t, nvars: int | None = None,
     if lower:
         A = [[gram[(mu, kappa)] for mu in lower] for kappa in lower]
         rhs = [-gram[(lam, kappa)] for kappa in lower]
-        sol = solve_exact(A, rhs)
+        sol = [x for (x,) in solve_exact(A, [[r] for r in rhs])]
         for mu, c in zip(lower, sol):
             coeffs[mu] = c
     terms = {mu: c for mu, c in coeffs.items() if len(mu) <= nvars}
@@ -412,18 +397,15 @@ def _d1_matrix(n: int, N: int, q, t):
     for _ in range(64):
         points = [_sample_distinct_fractions(rng, N) for _ in range(k)]
         E = [[monomial_value(mu, pt) for mu in basis] for pt in points]
+        # Column s of V holds D1 m_s at the points; E X = V gives its
+        # monomial coefficients.
+        V = [[d1_apply_point(SymmetricPolynomial({mu: Fraction(1)}, N), pt, q, t)
+              for mu in basis] for pt in points]
         try:
-            Einv = invert_exact(E)
+            X = solve_exact(E, V)
         except SingularMatrixError:
             continue
-        cols = {}
-        for mu in basis:
-            f = SymmetricPolynomial({mu: Fraction(1)}, N)
-            vals = [d1_apply_point(f, pt, q, t) for pt in points]
-            cols[mu] = [
-                sum(Einv[r][s] * vals[s] for s in range(k)) for r in range(k)
-            ]
-        return basis, cols
+        return basis, {mu: [row[s] for row in X] for s, mu in enumerate(basis)}
     raise SingularMatrixError("could not find generic evaluation points")
 
 
@@ -459,7 +441,7 @@ def macdonald_triangular_eigen(lam, N: int, q, t,
             if kappa != lam
         ]
         rhs = [-(cols[lam][idx[kappa]]) for kappa in basis if kappa != lam]
-        sol = solve_exact(A, rhs)
+        sol = [x for (x,) in solve_exact(A, [[r] for r in rhs])]
     else:
         sol = []
     coeffs = {lam: Fraction(1)}

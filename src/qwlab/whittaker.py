@@ -20,7 +20,7 @@ pattern integral in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 
@@ -31,6 +31,8 @@ from .quadrature import (
     QuadratureConfig,
     QuadResult,
     integrate_1d,
+    nodes_1d,
+    refine,
 )
 from .report import VerificationReport, comparison_report
 
@@ -123,8 +125,6 @@ def _pattern_quad_3(lam, x, box, cfg: QuadratureConfig) -> QuadResult:
     grid point costs one real exp; the complex spectral phases factor per
     axis and are precomputed on the shared node list.
     """
-    from .quadrature import QuadratureError, nodes_1d
-
     l1, l2, l3 = lam
     x1, x2, x3 = x
     prec = cfg.working_prec()
@@ -134,9 +134,8 @@ def _pattern_quad_3(lam, x, box, cfg: QuadratureConfig) -> QuadResult:
         c3, c4 = mp.exp(-x2), mp.exp(x3)
         d12 = 1j * (l1 - l2)
         d23 = 1j * (l2 - l3)
-        prev = None
-        history = []
-        for level in range(cfg.max_depth):
+
+        def value_at(level):
             nodes = nodes_1d(cfg.scheme, level, box[0], box[1], prec)
             ax1 = []
             ax2 = []
@@ -158,17 +157,9 @@ def _pattern_quad_3(lam, x, box, cfg: QuadratureConfig) -> QuadResult:
                         acc2 += p3 * exp(-(base + E3 * iE1 + a3))
                     acc1 += p2 * acc2
                 total += p1 * acc1
-            total = const * total
-            history.append(total)
-            if prev is not None:
-                err = abs(total - prev)
-                if err <= cfg.target_rel_error * abs(total):
-                    return QuadResult(+total, +err, {"levels": len(history)})
-            prev = total
-    raise QuadratureError(
-        f"pattern quadrature did not converge "
-        f"(last values {[mp.nstr(abs(h), 8) for h in history[-3:]]})"
-    )
+            return const * total
+
+        return refine(value_at, range(cfg.max_depth), cfg, "pattern quadrature")
 
 
 def pair_profile(mu1, mu2, s, cfg: QuadratureConfig | None = None) -> QuadResult:
@@ -349,13 +340,8 @@ def _stade_pair_integral(u, lam, nu, which, cfg: QuadratureConfig) -> QuadResult
         mulam = (1j * lam[0], 1j * lam[1])
         munu = (1j * nu[0], 1j * nu[1])
 
-    sub_cfg = QuadratureConfig(
-        scheme=cfg.scheme,
-        box_halfwidth=cfg.box_halfwidth,
-        target_rel_error=cfg.target_rel_error / 10,
-        max_depth=cfg.max_depth,
-        prec_bits=cfg.working_prec(),
-    )
+    sub_cfg = replace(cfg, target_rel_error=cfg.target_rel_error / 10,
+                      prec_bits=cfg.working_prec())
     profile_cache: dict = {}
 
     def profiles(s):

@@ -16,7 +16,9 @@ from qwlab.symfunc import (
     macdonald_triangular_eigen,
     monomial_value,
     partitions_of,
+    power_to_monomial,
     qwhittaker_branch_eval,
+    solve_exact,
     weight,
 )
 
@@ -116,7 +118,7 @@ def test_schur_degeneration_at_t_equals_q():
             q = unit_interval_rational(rng)
             poly = macdonald_gram_schmidt(lam, q, q, nvars=n)
             for _ in range(3):
-                z = distinct_rationals(rng, n, nonzero=True)
+                z = distinct_rationals(rng, n)
                 assert eval_symmetric(poly, z) == schur_bialternant(lam, z)
 
 
@@ -145,7 +147,7 @@ def test_branching_matches_gram_schmidt_at_t_zero():
             q = unit_interval_rational(rng)
             poly = macdonald_gram_schmidt(lam, q, F(0), nvars=n)
             for _ in range(3):
-                z = distinct_rationals(rng, n, nonzero=True)
+                z = distinct_rationals(rng, n)
                 sig = lam + (0,) * (n - len(lam))
                 assert qwhittaker_branch_eval(sig, z, q) == eval_symmetric(poly, z)
 
@@ -153,7 +155,7 @@ def test_branching_matches_gram_schmidt_at_t_zero():
 def test_branching_shift_rule():
     rng = random.Random(31)
     q = unit_interval_rational(rng)
-    z = distinct_rationals(rng, 2, nonzero=True)
+    z = distinct_rationals(rng, 2)
     base = qwhittaker_branch_eval((2, 0), z, q)
     shifted = qwhittaker_branch_eval((3, 1), z, q)
     assert shifted == z[0] * z[1] * base
@@ -178,3 +180,27 @@ def test_restriction_drops_long_partitions():
     poly = macdonald_gram_schmidt((1, 1, 1), Q, T, nvars=2)
     assert poly.terms == {}
     assert eval_symmetric(poly, (F(1), F(2))) == 0
+
+
+def test_solve_exact_against_identity_columns():
+    parts, R = power_to_monomial(4)
+    n = len(parts)
+    A = [[F(R[mu].get(kappa, 0)) for kappa in parts] for mu in parts]
+    identity = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    X = solve_exact(A, identity)
+    product = [[sum(A[i][k] * X[k][j] for k in range(n)) for j in range(n)]
+               for i in range(n)]
+    assert product == identity
+    assert all(isinstance(v, F) for row in X for v in row)
+
+
+def test_solve_exact_one_column():
+    # A zero leading entry forces a row swap; x = (1/2, -3, 2/3) by hand.
+    A = [[F(0), F(1), F(2)], [F(1), F(0), F(1)], [F(2), F(1), F(0)]]
+    b = [[F(-5, 3)], [F(7, 6)], [F(-2)]]
+    assert solve_exact(A, b) == [[F(1, 2)], [F(-3)], [F(2, 3)]]
+
+
+def test_solve_exact_singular():
+    with pytest.raises(SingularMatrixError):
+        solve_exact([[F(1), F(2)], [F(2), F(4)]], [[F(1)], [F(0)]])
