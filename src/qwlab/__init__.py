@@ -62,7 +62,6 @@ from .baxter import (
 )
 from .limits import (
     ScalingPoint,
-    a_eps,
     a_eps_corrected,
     convergence_sweep,
     eq_exp_limit_check,

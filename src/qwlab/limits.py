@@ -20,10 +20,10 @@ eps.  Via the eta-product asymptotic
     log (q;q)_inf = -pi^2/(6 eps) - (1/2) log(eps / (2 pi)) + O(eps)
 
 the prefactor is asymptotically eps^{N(N-1)/2} e^{N(N-1)/2 * A~(eps)} with
-A~ the right-hand side above (`a_eps_corrected`).  `a_eps` keeps the
-variant with an eps^{-1} coefficient on the log term for reference; used
-as an exponent it grows too fast by exp(Theta(log^2(1/eps)/eps)) and does
-not produce a convergent scaling, which the sweep here demonstrates.
+A~ the right-hand side above (`a_eps_corrected`).  A variant with an
+eps^{-1} coefficient on the log term grows too fast by
+exp(Theta(log^2(1/eps)/eps)) when used as the exponent, and gives no
+convergent scaling.
 
 The checks demonstrate the convergence of each factor numerically: no rate
 is asserted, only error decrease along a decreasing epsilon ladder.
@@ -86,14 +86,6 @@ class ScaledImage:
     z: tuple
     zeta: mp.mpf
     precision: int
-
-
-def a_eps(epsilon) -> mp.mpf:
-    """A(eps) = -(pi^2/6)/eps - log(eps/(2 pi))/eps."""
-    eps = mp.mpf(epsilon)
-    if not 0 < eps < 1:
-        raise DomainError("epsilon must lie in (0, 1)")
-    return -mp.pi**2 / (6 * eps) - mp.log(eps / (2 * mp.pi)) / eps
 
 
 def a_eps_corrected(epsilon) -> mp.mpf:

@@ -13,14 +13,17 @@ units outside the top-row hull, so a modest truncated box suffices.
 
 For N = 2 the interior integral separates into a center-of-mass phase times
 a one-dimensional profile in s = x_1 - x_2; `pair_profile` exposes that
-profile, and the Stade checks integrate against it.  The separation is an
-exact change of variables and is itself cross-checked against the direct
-pattern integral in the tests.
+profile by quadrature.  The separation is an exact change of variables and
+is itself cross-checked against the direct pattern integral in the tests.
+The profile's closed form is 2 K_{i(mu1-mu2)}(2 e^{-s/2}), the GL(2)
+Whittaker function (Bump, Automorphic Forms and Representations, 1997): the
+tests anchor `pair_profile` against it, and the N = 2 Stade check takes
+its profiles from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -260,6 +263,14 @@ def stade_check(u, lam, nu, which: str = "first",
     first:  integral dx e^{-u e^{x_1}}  psi_{-i lam}(x) psi_{-i nu}(x)
     second: integral dx e^{-u e^{-x_N}} psi_{ i lam}(x) psi_{ i nu}(x)
     both equal u^{-sum(lam + nu)} prod_{i,j} Gamma(lam_i + nu_j).
+
+    At N = 1 the left side is the cutoff integral of e^{+-(lam_1 + nu_1) y}.
+    At N = 2 the center-of-mass change of variables turns it into the same
+    cutoff integral at rate sum(lam + nu), times a relative-coordinate
+    integral over s = x_1 - x_2 of the two GL(2) profiles, whose closed form
+    is the K-Bessel function (see `_stade_relative_integral`).  Both
+    integrals are numeric; the right side is the Gamma product.  cfg
+    defaults to composite Gauss-Legendre at a 1e-11 target for both N.
     """
     if which not in ("first", "second"):
         raise DomainError("which must be 'first' or 'second'")
@@ -276,30 +287,30 @@ def stade_check(u, lam, nu, which: str = "first",
             if mp.re(li + nj) <= 0:
                 raise DomainError("need Re(lam_i + nu_j) > 0 for all pairs")
     if cfg is None:
-        # The nested N = 2 integral only needs to resolve a 1e-4 tolerance;
-        # tanh-sinh outer nodes persist across levels, so the profile cache hits.
-        if n == 1:
-            cfg = QuadratureConfig(scheme=GAUSS_LEGENDRE, target_rel_error=1e-11)
-        else:
-            cfg = QuadratureConfig(target_rel_error=1e-7)
+        cfg = QuadratureConfig(scheme=GAUSS_LEGENDRE, target_rel_error=1e-11)
 
+    # One cutoff integral in y: x_1 at N = 1, the center of mass at N = 2.
     total_rate = mp.fsum([mp.re(v) for v in lam + nu])
-    if n == 1:
-        # psi_{-i a}(x) = e^{a x}; psi_{i a}(x) = e^{-a x}.
-        box = _cutoff_box(total_rate, u, cfg.target_rel_error)
-        if which == "first":
-            f = lambda y: mp.exp(-u * mp.exp(y) + (lam[0] + nu[0]) * y)
-            lhs_res = integrate_1d(f, box[0], box[1], cfg)
-        else:
-            f = lambda y: mp.exp(-u * mp.exp(-y) - (lam[0] + nu[0]) * y)
-            lhs_res = integrate_1d(f, -box[1], -box[0], cfg)
-        lhs = lhs_res.value
-        diag = {"quad_error": lhs_res.error}
+    box = _cutoff_box(total_rate, u, cfg.target_rel_error)
+    with mp.workprec(cfg.integrand_prec()):
+        rate = sum(lam) + sum(nu)
+    if which == "first":
+        f = lambda y: mp.exp(-u * mp.exp(y) + rate * y)
+        com = integrate_1d(f, box[0], box[1], cfg)
     else:
-        lhs_res = _stade_pair_integral(u, lam, nu, which, cfg)
-        lhs = lhs_res.value
-        diag = lhs_res.diagnostics
-        diag["quad_error"] = lhs_res.error
+        f = lambda y: mp.exp(-u * mp.exp(-y) - rate * y)
+        com = integrate_1d(f, -box[1], -box[0], cfg)
+
+    if n == 1:
+        lhs = com.value
+        diag = {"quad_error": com.error}
+    else:
+        rel = _stade_relative_integral(lam, nu, rate, cfg)
+        # At the working precision: the caller's would round the product.
+        with mp.workprec(cfg.working_prec()):
+            lhs = com.value * rel.value
+            err = abs(com.error * rel.value) + abs(com.value * rel.error)
+        diag = {"com_error": com.error, "rel_error": rel.error, "quad_error": err}
 
     rhs = u ** (-mp.fsum([v for v in lam]) - mp.fsum([v for v in nu]))
     for li in lam:
@@ -315,57 +326,31 @@ def stade_check(u, lam, nu, which: str = "first",
     )
 
 
-def _stade_pair_integral(u, lam, nu, which, cfg: QuadratureConfig) -> QuadResult:
-    """N = 2 cutoff integral, reduced by the center-of-mass change of
-    variables to (cutoff profile) x (relative-coordinate profile)."""
-    L = lam[0] + lam[1]
-    V = nu[0] + nu[1]
-    rate = mp.re(L + V)
+def _stade_relative_integral(lam, nu, rate, cfg: QuadratureConfig) -> QuadResult:
+    """integral ds e^{-rate s/2} 2K_{lam1-lam2}(2e^{-s/2}) 2K_{nu1-nu2}(2e^{-s/2})
+    with rate = sum(lam + nu): the relative-coordinate factor at N = 2.
 
-    # Center-of-mass factor: integral over y of e^{-u e^{+-y}} e^{+-(L+V)y}.
-    box = _cutoff_box(rate, u, cfg.target_rel_error)
-    if which == "first":
-        fy = lambda y: mp.exp(-u * mp.exp(y) + (L + V) * y)
-        com = integrate_1d(fy, box[0], box[1], cfg)
-    else:
-        fy = lambda y: mp.exp(-u * mp.exp(-y) - (L + V) * y)
-        com = integrate_1d(fy, -box[1], -box[0], cfg)
-
-    # Relative coordinate: profiles of psi_{-i lam} are pair_profile of
-    # mu = -i lam, i.e. exponent (lam1 - lam2) t - z cosh t (real for real lam).
-    if which == "first":
-        mulam = (-1j * lam[0], -1j * lam[1])
-        munu = (-1j * nu[0], -1j * nu[1])
-    else:
-        mulam = (1j * lam[0], 1j * lam[1])
-        munu = (1j * nu[0], 1j * nu[1])
-
-    sub_cfg = replace(cfg, target_rel_error=cfg.target_rel_error / 10,
-                      prec_bits=cfg.working_prec())
-    profile_cache: dict = {}
-
-    def profiles(s):
-        key = mp.nstr(s, 25)
-        if key not in profile_cache:
-            pa = pair_profile(mulam[0], mulam[1], s, sub_cfg).value
-            pb = pair_profile(munu[0], munu[1], s, sub_cfg).value
-            profile_cache[key] = pa * pb
-        return profile_cache[key]
-
+    Each profile is pair_profile(mu1, mu2, s) = 2K_{i(mu1-mu2)}(2e^{-s/2}) at
+    mu = -+i lam (resp. nu), so i(mu1 - mu2) = +-(lam1 - lam2); K is even in
+    its order, so both displays share this integral.
+    """
     # Tail rates in s: the profile product grows like e^{(d_lam + d_nu) s / 2}
-    # with d = |Re spread|, against the cutoff factor e^{-(L+V) s / 2}.
+    # with d = |Re spread|, against the cutoff factor e^{-rate s / 2}.
     spread = abs(mp.re(lam[0] - lam[1])) + abs(mp.re(nu[0] - nu[1]))
-    right_rate = (rate - spread) / 2
+    right_rate = (mp.re(rate) - spread) / 2
     if right_rate <= 0:
         raise DomainError("relative-coordinate integral does not converge")
     need = -mp.log(mp.mpf(cfg.target_rel_error)) + 12
     s_hi = float(need / right_rate + 5)
     s_lo = -float(2 * mp.log(need) + 6)
 
-    def fs(s):
-        return mp.exp(-(L + V) * s / 2) * profiles(s)
+    with mp.workprec(cfg.integrand_prec()):
+        order_lam, order_nu = lam[0] - lam[1], nu[0] - nu[1]
 
-    rel = integrate_1d(fs, s_lo, s_hi, cfg)
-    value = com.value * rel.value
-    err = abs(com.error * rel.value) + abs(com.value * rel.error)
-    return QuadResult(value, err, {"com_error": com.error, "rel_error": rel.error})
+    def fs(s):
+        # integrate_1d calls this at the integrand's precision.
+        z = 2 * mp.exp(-s / 2)
+        return (4 * mp.exp(-rate * s / 2)
+                * mp.besselk(order_lam, z) * mp.besselk(order_nu, z))
+
+    return integrate_1d(fs, s_lo, s_hi, cfg)

@@ -1,8 +1,7 @@
 """The acceptance gate: every headline criterion at its stated tolerance.
 
 Run with `pytest tests/test_acceptance.py -s` to see one line per criterion.
-The full ladder takes a few minutes; the heavy entries are the nested
-quadratures of the N = 2 cutoff integrals (criterion 5) and the N = 3
+The full ladder takes about half a minute; the heavy entry is the N = 3
 Whittaker reflection (criterion 8).
 """
 

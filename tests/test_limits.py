@@ -3,7 +3,6 @@ import pytest
 
 from qwlab.limits import (
     ScalingPoint,
-    a_eps,
     a_eps_corrected,
     convergence_sweep,
     eq_exp_limit_check,
@@ -13,23 +12,6 @@ from qwlab.limits import (
     term_limit_checks,
 )
 from qwlab.qcore import DomainError, qpoch_infinite, set_precision
-
-
-def test_a_eps_value():
-    with set_precision(128):
-        # -pi^2/0.6 - 10 log(0.1/(2 pi)), frozen from direct evaluation
-        assert abs(a_eps(0.1) - mp.mpf("24.955280925551645")) < mp.mpf("1e-12")
-
-
-def test_a_eps_monotone_blowup_towards_zero():
-    with set_precision(128):
-        vals = [a_eps(e) for e in (0.5, 0.2, 0.05, 0.01)]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_a_eps_domain():
-    with pytest.raises(DomainError):
-        a_eps(1.5)
 
 
 def test_a_eps_corrected_tracks_euler_product():

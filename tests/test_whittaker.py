@@ -184,6 +184,27 @@ def test_stade_rejects_bad_domain():
         stade_check(1.0, (0.7,), (0.6,), "sideways")
 
 
+@pytest.mark.parametrize("u, lam, nu", [
+    (1.0, (0.5, 0.2), (0.4, 0.3)),  # criterion 5
+    (1.0, (0.5 + 0.1j, 0.2), (0.4, 0.3 - 0.1j)),
+    (1.3, (0.9, 0.1 + 0.3j), (0.6 - 0.2j, 0.5)),
+])
+def test_stade_pair_matches_gamma_product(u, lam, nu):
+    # Default configuration: composite Gauss-Legendre to 1e-11, 66 bits.
+    prec = QuadratureConfig(scheme=GAUSS_LEGENDRE, target_rel_error=1e-11).working_prec()
+    with mp.workprec(256):
+        rhs = mp.mpf(u) ** -(mp.fsum(lam) + mp.fsum(nu))
+        for li in lam:
+            for nj in nu:
+                rhs *= mp.gamma(mp.mpc(li) + nj)
+    for which in ("first", "second"):
+        rep = stade_check(u, lam, nu, which, tolerance=1e-12)
+        assert rep.passed, (which, rep.rel_err)
+        with mp.workprec(256):
+            slack = 16 * mp.mpf(2) ** -prec * abs(rhs)
+            assert abs(rep.lhs - rhs) <= rep.diagnostics["quad_error"] + slack
+
+
 def test_n2_error_estimates_bound_the_k_bessel_closed_form():
     # psi_lam(x) = e^{i(lam1 + lam2)(x1 + x2)/2} 2 K_{i(lam1 - lam2)}(2 e^{-(x1 - x2)/2})
     # (the GL(2) Whittaker function).  Called at mpmath's default 53 bits,
