@@ -122,11 +122,19 @@ def whittaker_eval(lam, x, cfg: QuadratureConfig | None = None) -> QuadResult:
 
 
 def _pattern_quad_3(lam, x, box, cfg: QuadratureConfig) -> QuadResult:
-    """N = 3 pattern integral as a tensor sum with per-axis tables.
+    """N = 3 pattern integral, summed per row-1 node with per-axis tables.
 
-    The couplings between pattern entries are real exponentials, so each
-    grid point costs one real exp; the complex spectral phases factor per
-    axis and are precomputed on the shared node list.
+    The row-1 entry z1 couples to each row-2 entry (z2, z3), and those two
+    do not couple to each other, so at each row-1 node the double sum over
+    row 2 is a product of two single sums:
+
+        total = sum_1 p1 (sum_2 p2 e^{-(E1/E2 + a2)}) (sum_3 p3 e^{-(E3/E1 + a3)})
+
+    with E = e^z and a2, a3 the couplings of z2, z3 to the top row x.  This
+    is Givental's recursion (Givental 1997) read as a quadrature sum:
+    O(n^2) real exponentials per level instead of O(n^3).  The complex
+    spectral phases factor per axis and are precomputed on the shared node
+    list.
     """
     l1, l2, l3 = lam
     x1, x2, x3 = x
@@ -146,20 +154,20 @@ def _pattern_quad_3(lam, x, box, cfg: QuadratureConfig) -> QuadResult:
             for t, wt in nodes:
                 E = mp.exp(t)
                 iE = 1 / E
+                p23 = wt * mp.exp(d23 * t)
                 ax1.append((E, iE, wt * mp.exp(d12 * t)))
-                ax2.append((iE, E * c1 + c2 * iE, wt * mp.exp(d23 * t)))
-                ax3.append((E, E * c3 + c4 * iE, wt * mp.exp(d23 * t)))
+                ax2.append((iE, E * c1 + c2 * iE, p23))
+                ax3.append((E, E * c3 + c4 * iE, p23))
             total = mp.mpc(0)
             exp = mp.exp
             for E1, iE1, p1 in ax1:
-                acc1 = mp.mpc(0)
+                s2 = mp.mpc(0)
                 for iE2, a2, p2 in ax2:
-                    base = E1 * iE2 + a2
-                    acc2 = mp.mpc(0)
-                    for E3, a3, p3 in ax3:
-                        acc2 += p3 * exp(-(base + E3 * iE1 + a3))
-                    acc1 += p2 * acc2
-                total += p1 * acc1
+                    s2 += p2 * exp(-(E1 * iE2 + a2))
+                s3 = mp.mpc(0)
+                for E3, a3, p3 in ax3:
+                    s3 += p3 * exp(-(E3 * iE1 + a3))
+                total += p1 * s2 * s3
             return const * total
 
         return refine(value_at, range(cfg.max_depth), cfg, "pattern quadrature")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import mpmath as mp
@@ -8,6 +9,7 @@ from qwlab.qcore import DomainError
 from qwlab.quadrature import GAUSS_LEGENDRE, TANH_SINH, QuadratureConfig, integrate_nd
 from qwlab.whittaker import (
     GiventalPattern,
+    _interior_box,
     givental_action,
     pair_coupling,
     pair_profile,
@@ -95,16 +97,73 @@ def test_whittaker_pair_matches_raw_pattern_integral():
     assert abs(direct.value - tuned.value) / abs(tuned.value) < mp.mpf("1e-9")
 
 
-def test_whittaker_triple_matches_raw_pattern_integral():
+def test_whittaker_triple_matches_givental_recursion_step():
+    # One Givental recursion step as an independent oracle: integrate the
+    # closed-form GL(2) Whittaker function of the middle row (z1, z2),
+    #   e^{i(lam1 + lam2)(z1 + z2)/2} 2 K_{i(lam1 - lam2)}(2 e^{-(z1 - z2)/2}),
+    # against the row-2/row-3 couplings and the lam3 phase, in 2-d.
     lam, x = (0.5, 0.1, -0.4), (0.4, 0.0, -0.4)
     cfg = QuadratureConfig(scheme=GAUSS_LEGENDRE, target_rel_error=1e-7)
+    l1, l2, l3 = (mp.mpc(v) for v in lam)
+    x1, x2, x3 = (mp.mpf(v) for v in x)
+
+    def integrand(pt):
+        z1, z2 = pt
+        couplings = mp.exp(z1 - x1) + mp.exp(x2 - z1) + mp.exp(z2 - x2) + mp.exp(x3 - z2)
+        gl2 = 2 * mp.besselk(1j * (l1 - l2), 2 * mp.exp(-(z1 - z2) / 2))
+        phase = 1j * l3 * (x1 + x2 + x3 - z1 - z2) + 1j * (l1 + l2) * (z1 + z2) / 2
+        return mp.exp(phase - couplings) * gl2
+
     box = (min(x) - 5, max(x) + 5)
-    direct = integrate_nd(
+    oracle = integrate_nd(integrand, [box] * 2, cfg)
+    tuned = whittaker_eval(lam, x, cfg)
+    assert abs(oracle.value - tuned.value) / abs(tuned.value) < mp.mpf("1e-6")
+
+
+@pytest.mark.parametrize("prec_bits", [None, 128])
+def test_whittaker_triple_same_nodes_as_raw_pattern_integral(prec_bits):
+    # The factorised N = 3 sum against exp(givental_action) summed as a plain
+    # tensor product over the same Gauss-Legendre nodes and levels: they
+    # differ only by rounding, at either working precision.  x enters as
+    # mpf so that both sides build the same box.
+    lam = (0.5, 0.1, -0.4)
+    x = tuple(mp.mpf(v) for v in (0.4, 0.0, -0.4))
+    cfg = QuadratureConfig(scheme=GAUSS_LEGENDRE, box_halfwidth=1.0,
+                           target_rel_error=0.2, prec_bits=prec_bits)
+    raw = integrate_nd(
         lambda pt: mp.exp(givental_action(
             lam, GiventalPattern(((pt[0],), (pt[1], pt[2]), x)))),
-        [box] * 3, cfg)
+        [_interior_box(x, cfg)] * 3, cfg)
     tuned = whittaker_eval(lam, x, cfg)
-    assert abs(direct.value - tuned.value) / abs(tuned.value) < mp.mpf("1e-6")
+    assert raw.diagnostics["levels"] == tuned.diagnostics["levels"]
+    bound = mp.mpf(2) ** -(cfg.working_prec() - 8)
+    assert abs(raw.value - tuned.value) <= bound * abs(tuned.value)
+
+
+def test_whittaker_triple_weyl_invariance_within_error_estimates():
+    # psi_lam is symmetric in lam: all six orderings agree within the sum of
+    # their reported error estimates.
+    x = (0.4, 0.0, -0.4)
+    results = [whittaker_eval(perm, x) for perm in itertools.permutations((0.5, 0.1, -0.4))]
+    for a, b in itertools.combinations(results, 2):
+        assert abs(a.value - b.value) <= a.error + b.error
+
+
+def test_whittaker_triple_exponential_count_is_quadratic(monkeypatch):
+    # Two levels of 24 and 48 nodes: the factorised sum takes about
+    # 2 n^2 exponentials per level, the tensor sum n^3.
+    calls = [0]
+    exp = mp.exp
+
+    def counting_exp(*args, **kwargs):
+        calls[0] += 1
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "exp", counting_exp)
+    cfg = QuadratureConfig(scheme=GAUSS_LEGENDRE, box_halfwidth=2.5, target_rel_error=1e-9)
+    res = whittaker_eval((0.5, 0.1, -0.4), (0.4, 0.0, -0.4), cfg)
+    assert res.diagnostics["levels"] == 2
+    assert calls[0] < 3 * (24**2 + 48**2)
 
 
 def test_whittaker_reflection_symmetry():
