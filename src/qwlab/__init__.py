@@ -36,7 +36,6 @@ from .noumi import (
 from .gamma import GammaPoleError, gamma_c
 from .quadrature import (
     GAUSS_LEGENDRE,
-    TANH_SINH,
     QuadratureConfig,
     QuadratureError,
     integrate_1d,

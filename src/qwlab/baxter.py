@@ -44,7 +44,6 @@ import mpmath as mp
 from .gamma import GammaPoleError, gamma_c
 from .qcore import DomainError, QwlabError, compositions_of_weight
 from .quadrature import (
-    GAUSS_LEGENDRE,
     GL_ORDER,
     QuadratureConfig,
     QuadResult,
@@ -197,11 +196,11 @@ def _bent_contour(w, a: float, u: float, cfg: QuadratureConfig, level: int,
     corner_low = mp.mpc(a, -s0)
     out = []
     # Lower ray traversed from the far end to the corner: -e_low direction.
-    for t, wt in nodes_1d(cfg.scheme, level, 0, R, prec):
+    for t, wt in nodes_1d(level, 0, R, prec):
         out.append((corner_low + t * e_low, -wt * e_low))
-    for s, wt in nodes_1d(cfg.scheme, level, -s0, s0, prec):
+    for s, wt in nodes_1d(level, -s0, s0, prec):
         out.append((mp.mpc(a, 0) + 1j * s, wt * 1j))
-    for t, wt in nodes_1d(cfg.scheme, level, 0, R, prec):
+    for t, wt in nodes_1d(level, 0, R, prec):
         out.append((corner_up + t * e_up, wt * e_up))
     return out
 
@@ -238,7 +237,7 @@ def contour_apply(f, w, u, a: float,
     if isinstance(f, TestFunction):
         f.check_analytic(a)
     if cfg is None:
-        cfg = QuadratureConfig(scheme=GAUSS_LEGENDRE, target_rel_error=1e-9)
+        cfg = QuadratureConfig(target_rel_error=1e-9)
     prec = cfg.working_prec()
     with mp.workprec(prec):
         log_u = mp.log(u)
@@ -440,10 +439,7 @@ def baxter_eigen_check(w, u, x, which: str = "second",
         if not mp.im(wi) < 0:
             raise DomainError("need Im(w_i) < 0")
     if cfg is None:
-        cfg = QuadratureConfig(
-            scheme=GAUSS_LEGENDRE,
-            target_rel_error=1e-9 if n == 1 else 1e-5,
-        )
+        cfg = QuadratureConfig(target_rel_error=1e-9 if n == 1 else 1e-5)
     if a_shift is None:
         a_shift = max(-float(mp.im(wi)) for wi in w) + 0.5
     if not a_shift > max(-float(mp.im(wi)) for wi in w):
@@ -523,7 +519,7 @@ def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: i
         return val * mp.exp(sign * 1j * xi * sigma)
 
     def value_at(level):
-        axis = [(t, wt * g(t)) for t, wt in nodes_1d(cfg.scheme, level, -T, T, prec)]
+        axis = [(t, wt * g(t)) for t, wt in nodes_1d(level, -T, T, prec)]
         return uw * _rank8_pair_sum(axis, tg, prec, T) / ((2 * mp.pi) ** 2 * 2)
 
     quad = refine(value_at, range(min(cfg.max_depth, 4)), cfg, "spectral quadrature")

@@ -2,7 +2,8 @@
 
 Reports are printed as one JSON object per line with a fixed key order, so
 identical seeds and flags give byte-identical output.  Sweeps emit CSV.
-Exit codes: 0 all checks passed, 1 a check failed, 2 bad usage.
+Exit codes: 0 all checks passed, 1 a check failed, 2 bad usage: an
+unknown flag, an input outside a check's domain or an unwritable --out.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .limits import (
 )
 from .noumi import macdonald_d1_check, verify_noumi
 from .qcore import QwlabError, parse_rational, set_precision
-from .quadrature import GAUSS_LEGENDRE, SCHEMES, QuadratureConfig
+from .quadrature import QuadratureConfig
 from .report import format_value
 from .suite import CRITERIA, run_criterion
 from .symfunc import eval_symmetric, macdonald_gram_schmidt
@@ -146,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, prec_bits=True, tolerance=True)
     p.add_argument("--lambda", dest="lam", type=_complexes, default=(0.5, -0.2))
     p.add_argument("--x", type=_floats, default=(0.3, -0.3))
-    p.add_argument("--scheme", choices=SCHEMES, default=GAUSS_LEGENDRE)
 
     p = sub.add_parser("suite", help="run the acceptance ladder")
     common(p)
@@ -234,9 +234,8 @@ def run(argv=None) -> int:
             _emit([json.dumps(obj, separators=(", ", ": "))], args.out)
             return 0
         elif cmd == "eval-whittaker":
-            cfg = QuadratureConfig(scheme=args.scheme,
-                                   target_rel_error=args.tolerance if args.tolerance is not None else 1e-10,
-                                   prec_bits=args.prec_bits)
+            tol = args.tolerance if args.tolerance is not None else 1e-10
+            cfg = QuadratureConfig(target_rel_error=tol, prec_bits=args.prec_bits)
             res = whittaker_eval(args.lam, args.x, cfg)
             obj = {
                 "lambda": [format_value(complex(v)) for v in args.lam],
@@ -252,6 +251,7 @@ def run(argv=None) -> int:
             for idx in args.criteria:
                 if not 1 <= idx <= len(CRITERIA):
                     parser.error(f"criterion index {idx} out of range")
+            for idx in args.criteria:
                 name, crit_reports, passed, elapsed = run_criterion(idx, args.quick)
                 all_pass = all_pass and passed
                 counts["pass" if passed else "fail"] += 1
@@ -269,11 +269,11 @@ def run(argv=None) -> int:
             return 0 if all_pass else 1
         else:  # pragma: no cover
             parser.error(f"unknown command {cmd}")
-    except QwlabError as exc:
+        lines.extend(_report_line(r) for r in reports)
+        _emit(lines, args.out)
+    except (QwlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    lines.extend(_report_line(r) for r in reports)
-    _emit(lines, args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -45,7 +45,7 @@ import mpmath as mp
 
 from .gamma import gamma_c
 from .qcore import DomainError, QwlabError, qpoch_finite, qpoch_infinite, set_precision
-from .quadrature import GAUSS_LEGENDRE, QuadratureConfig
+from .quadrature import QuadratureConfig
 from .report import VerificationReport
 from .symfunc import qwhittaker_branch_eval
 from .whittaker import whittaker_eval
@@ -302,7 +302,7 @@ def convergence_sweep(eps_list=DEFAULT_EPS_LADDER, x=(0.3, -0.3),
     if len(x) not in (1, 2):
         raise DomainError("sweep supports N in {1, 2}")
     if cfg is None:
-        cfg = QuadratureConfig(scheme=GAUSS_LEGENDRE, target_rel_error=1e-12)
+        cfg = QuadratureConfig(target_rel_error=1e-12)
     with set_precision(prec_bits):
         target = whittaker_eval(w, x, cfg).value
         rows = []

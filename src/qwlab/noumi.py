@@ -132,6 +132,8 @@ def verify_noumi(lam, n: int, q=None, t=None, order: int = 4,
     (0,1); otherwise the given exact values are used for every sample.
     """
     lam = check_partition(lam)
+    if n < 1:
+        raise DomainError(f"need at least one variable, got n = {n}")
     if len(lam) > n:
         raise DomainError(f"lambda = {lam} needs at least {len(lam)} variables")
     rng = random.Random(seed)
@@ -175,6 +177,8 @@ def macdonald_d1_check(lam, n: int, q=None, t=None, samples: int = 5,
                        seed: int = 0) -> VerificationReport:
     """Check D1 P_lambda = (sum_i q^{lambda_i} t^{n-i}) P_lambda exactly."""
     lam = check_partition(lam)
+    if n < 1:
+        raise DomainError(f"need at least one variable, got n = {n}")
     rng = random.Random(seed)
     records = []
     ok = True

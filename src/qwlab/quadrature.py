@@ -1,13 +1,9 @@
 """Adaptive quadrature over truncated boxes, in mpmath arithmetic.
 
-Two one-dimensional rules are provided and cross-validated in the tests:
-
-* tanh-sinh: the double-exponential transform plus trapezoid sum, refined
-  by halving the step;
-* composite Gauss-Legendre: fixed-order panels, refined by doubling the
-  panel count.
-
-Multi-dimensional integrals are tensor products of the same node sets.
+The one rule is composite Gauss-Legendre: fixed-order panels, refined by
+doubling the panel count.  Every lab integrand is smooth on its truncated
+box, and the tests anchor the rule against closed forms.  Multi-dimensional
+integrals are tensor products of the same node sets.
 
 `refine` is the one place the stopping rule lives: refinement stops when
 two successive levels agree to the target relative error, and the last
@@ -26,9 +22,7 @@ import mpmath as mp
 
 from .qcore import QwlabError
 
-TANH_SINH = "tanh-sinh"
 GAUSS_LEGENDRE = "gauss-legendre-composite"
-SCHEMES = (TANH_SINH, GAUSS_LEGENDRE)
 
 
 class QuadratureError(QwlabError):
@@ -37,14 +31,16 @@ class QuadratureError(QwlabError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    scheme: str = TANH_SINH
+    # Nothing reads `scheme`: composite Gauss-Legendre is the only rule.  The
+    # field stays while the benchmark workloads still pass it.
+    scheme: str = GAUSS_LEGENDRE
     box_halfwidth: float = 12.0
     target_rel_error: float = 1e-10
     max_depth: int = 8
     prec_bits: int | None = None
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
+        if self.scheme != GAUSS_LEGENDRE:
             raise QwlabError(f"unknown quadrature scheme {self.scheme!r}")
         if self.box_halfwidth <= 0 or self.target_rel_error <= 0:
             raise QwlabError("box half-width and target error must be positive")
@@ -55,9 +51,8 @@ class QuadratureConfig:
         return max(64, int(-math.log2(self.target_rel_error)) + 30)
 
     def integrand_prec(self) -> int:
-        """Precision the integrand is evaluated and summed at: extra bits keep
-        near-endpoint tanh-sinh nodes off the boundary and absorb
-        accumulation error in long sums."""
+        """Precision the integrand is evaluated and summed at: the extra bits
+        absorb accumulation error in long sums."""
         return self.working_prec() + 30
 
 
@@ -96,55 +91,22 @@ def gauss_legendre_rule(order: int, prec: int) -> tuple:
         return tuple(nodes)
 
 
-@lru_cache(maxsize=None)
-def tanh_sinh_rule(level: int, prec: int) -> tuple:
-    """Symmetric tanh-sinh nodes/weights on [-1, 1] at step h = 2^-level."""
-    with mp.workprec(prec + 20):
-        h = mp.mpf(2) ** (-level)
-        pi_half = mp.pi / 2
-        cutoff = mp.mpf(2) ** (-(prec + 12))
-        out = [(mp.mpf(0), pi_half * h)]
-        k = 1
-        while True:
-            t = k * h
-            sh = pi_half * mp.sinh(t)
-            x = mp.tanh(sh)
-            w = pi_half * mp.cosh(t) / mp.cosh(sh) ** 2 * h
-            if w < cutoff or 1 - abs(x) < cutoff:
-                break
-            out.append((+x, +w))
-            out.append((-x, +w))
-            k += 1
-        return tuple(out)
-
-
-def nodes_1d(scheme: str, level: int, lo, hi, prec: int) -> tuple:
-    """Node/weight list on [lo, hi] for the scheme at a refinement level."""
+def nodes_1d(level: int, lo, hi, prec: int) -> tuple:
+    """Composite Gauss-Legendre nodes/weights on [lo, hi]: ceil(width / 3)
+    panels of GL_ORDER points, doubled at each refinement level."""
     lo, hi = mp.mpf(lo), mp.mpf(hi)
-    if scheme == TANH_SINH:
-        base = tanh_sinh_rule(level, prec)
-        mid = (hi + lo) / 2
-        half = (hi - lo) / 2
-        return tuple((mid + half * x, half * w) for x, w in base)
-    if scheme == GAUSS_LEGENDRE:
-        width = hi - lo
-        panels = max(1, int(mp.ceil(width / 3))) * 2**level
-        rule = gauss_legendre_rule(GL_ORDER, prec)
-        out = []
-        step = width / panels
-        for p in range(panels):
-            a = lo + p * step
-            mid = a + step / 2
-            half = step / 2
-            for x, w in rule:
-                out.append((mid + half * x, half * w))
-        return tuple(out)
-    raise QwlabError(f"unknown scheme {scheme!r}")
-
-
-def _level_range(scheme: str, max_depth: int):
-    start = 2 if scheme == TANH_SINH else 0
-    return range(start, start + max_depth)
+    width = hi - lo
+    panels = max(1, int(mp.ceil(width / 3))) * 2**level
+    rule = gauss_legendre_rule(GL_ORDER, prec)
+    out = []
+    step = width / panels
+    for p in range(panels):
+        a = lo + p * step
+        mid = a + step / 2
+        half = step / 2
+        for x, w in rule:
+            out.append((mid + half * x, half * w))
+    return tuple(out)
 
 
 def refine(value_at, levels, cfg: QuadratureConfig, label: str) -> QuadResult:
@@ -173,12 +135,12 @@ def integrate_1d(f, lo, hi, cfg: QuadratureConfig) -> QuadResult:
 
     def value_at(level):
         total = mp.mpf(0)
-        for x, w in nodes_1d(cfg.scheme, level, lo, hi, prec):
+        for x, w in nodes_1d(level, lo, hi, prec):
             total = total + w * f(x)
         return total
 
     with mp.workprec(cfg.integrand_prec()):
-        return refine(value_at, _level_range(cfg.scheme, cfg.max_depth), cfg, label)
+        return refine(value_at, range(cfg.max_depth), cfg, label)
 
 
 def integrate_nd(f, boxes, cfg: QuadratureConfig) -> QuadResult:
@@ -188,11 +150,11 @@ def integrate_nd(f, boxes, cfg: QuadratureConfig) -> QuadResult:
     prec = cfg.working_prec()
 
     def value_at(level):
-        axes = [nodes_1d(cfg.scheme, level, lo, hi, prec) for lo, hi in boxes]
+        axes = [nodes_1d(level, lo, hi, prec) for lo, hi in boxes]
         return _tensor_sum(f, axes, ())
 
     with mp.workprec(cfg.integrand_prec()):
-        return refine(value_at, _level_range(cfg.scheme, cfg.max_depth), cfg,
+        return refine(value_at, range(cfg.max_depth), cfg,
                       f"{len(boxes)}-d quadrature")
 
 

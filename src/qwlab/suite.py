@@ -30,7 +30,7 @@ from .limits import (
     term_limit_checks,
 )
 from .noumi import verify_noumi
-from .quadrature import GAUSS_LEGENDRE, QuadratureConfig
+from .quadrature import QuadratureConfig
 from .report import VerificationReport, comparison_report, relative_error
 from .sampling import distinct_rationals, unit_interval_rational
 from .symfunc import (
@@ -238,7 +238,7 @@ def criterion_4_residue_vs_contour(quick: bool = False) -> list:
         if not quick:
             pole = TestFunction("product-pole", b=3.0)
             w2 = (mp.mpc(0, -0.5), mp.mpc(1, -0.6))
-            cfg = QuadratureConfig(scheme=GAUSS_LEGENDRE, target_rel_error=1e-8)
+            cfg = QuadratureConfig(target_rel_error=1e-8)
             reports.append(lemma1_check(pole, w2, 1.0, 1.0, cap=40, cfg=cfg,
                                         tolerance=1e-6))
     return reports
@@ -332,7 +332,7 @@ def criterion_8_analytic_infrastructure(quick: bool = False) -> list:
             passed=bool(c2 / c1 < 2),
             diagnostics={"c1": c1, "c2": c2},
         ))
-    cfg = QuadratureConfig(scheme=GAUSS_LEGENDRE, target_rel_error=1e-9)
+    cfg = QuadratureConfig(target_rel_error=1e-9)
     cases = [((0.5, -0.2), (0.3, -0.3))]
     if not quick:
         cases.append(((0.5, 0.1, -0.4), (0.4, 0.0, -0.4)))

@@ -312,6 +312,8 @@ def macdonald_gram_schmidt(lam, q, t, nvars: int | None = None,
     q, t = Fraction(q), Fraction(t)
     if nvars is None:
         nvars = max(n, 1)  # |lambda| variables keep the full stable expansion
+    elif nvars < 1:
+        raise DomainError(f"need at least one variable, got nvars = {nvars}")
     parts, gram = monomial_gram(n, q, t)
     lower = [mu for mu in parts if mu != lam and dominance_leq(mu, lam)]
     coeffs = {lam: Fraction(1)}

@@ -30,7 +30,6 @@ import mpmath as mp
 from .gamma import gamma_c
 from .qcore import DomainError
 from .quadrature import (
-    GAUSS_LEGENDRE,
     QuadratureConfig,
     QuadResult,
     integrate_1d,
@@ -75,9 +74,7 @@ def givental_action(lam, pattern: GiventalPattern):
     return total
 
 
-DEFAULT_WHITTAKER_CFG = QuadratureConfig(
-    scheme=GAUSS_LEGENDRE, box_halfwidth=12.0, target_rel_error=1e-10
-)
+DEFAULT_WHITTAKER_CFG = QuadratureConfig(box_halfwidth=12.0, target_rel_error=1e-10)
 
 
 def _interior_box(x, cfg: QuadratureConfig):
@@ -147,7 +144,7 @@ def _pattern_quad_3(lam, x, box, cfg: QuadratureConfig) -> QuadResult:
         d23 = 1j * (l2 - l3)
 
         def value_at(level):
-            nodes = nodes_1d(cfg.scheme, level, box[0], box[1], prec)
+            nodes = nodes_1d(level, box[0], box[1], prec)
             ax1 = []
             ax2 = []
             ax3 = []
@@ -295,7 +292,7 @@ def stade_check(u, lam, nu, which: str = "first",
             if mp.re(li + nj) <= 0:
                 raise DomainError("need Re(lam_i + nu_j) > 0 for all pairs")
     if cfg is None:
-        cfg = QuadratureConfig(scheme=GAUSS_LEGENDRE, target_rel_error=1e-11)
+        cfg = QuadratureConfig(target_rel_error=1e-11)
 
     # One cutoff integral in y: x_1 at N = 1, the center of mass at N = 2.
     total_rate = mp.fsum([mp.re(v) for v in lam + nu])

@@ -15,7 +15,7 @@ from qwlab.baxter import (
     residue_apply,
 )
 from qwlab.qcore import DomainError
-from qwlab.quadrature import GAUSS_LEGENDRE, QuadratureConfig
+from qwlab.quadrature import QuadratureConfig
 
 
 def setup_function(_fn):
@@ -197,8 +197,7 @@ W2 = (mp.mpc(0, -0.5), mp.mpc(1, -0.6))
 def test_separable_pair_sum_matches_pairwise_oracle(f, prec):
     # Two levels: the value is level 1's sum, the error its distance from
     # level 0's.  A plain callable takes the pairwise O(n^2) path.
-    cfg = QuadratureConfig(scheme=GAUSS_LEGENDRE, target_rel_error=1e-3,
-                           max_depth=2, prec_bits=prec)
+    cfg = QuadratureConfig(target_rel_error=1e-3, max_depth=2, prec_bits=prec)
     separable = contour_apply(f, W2, 1.0, 1.0, cfg)
     pairwise = contour_apply(lambda v: f(v), W2, 1.0, 1.0, cfg)
     assert separable.diagnostics["levels"] == pairwise.diagnostics["levels"] == 2

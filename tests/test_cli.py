@@ -53,10 +53,24 @@ def test_usage_error_exits_2():
 
 
 def test_domain_error_reports_exit_2(capsys):
-    code = run(["verify-stade", "--u", "-1", "--lambda", "0.7", "--nu", "0.6"])
-    _, err = _capture(capsys)
+    for argv in (["verify-stade", "--u", "-1", "--lambda", "0.7", "--nu", "0.6"],
+                 ["verify-noumi", "--n", "0", "--lambda="],
+                 ["verify-d1", "--n", "0", "--lambda="],
+                 ["eval-macdonald", "--lambda=", "--n", "0", "--z="]):
+        code = run(argv)
+        out, err = _capture(capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:"), argv
+
+
+def test_unwritable_out_reports_exit_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code = run(["verify-d1", "--out", str(path)])
+    out, err = _capture(capsys)
     assert code == 2
-    assert "error:" in err
+    assert out == ""
+    assert err.startswith("error:") and "x.json" in err
+    assert not path.exists()
 
 
 def test_failing_check_exits_1(capsys):
@@ -118,6 +132,16 @@ def test_suite_quick_single_criterion(capsys):
     assert last["pass"] is True
 
 
+def test_suite_checks_every_criterion_index_before_running(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["suite", "--quick", "--criteria", "3,9"])
+    out, err = _capture(capsys)
+    assert exc.value.code == 2
+    assert out == ""
+    assert err.startswith("usage:")
+    assert err.endswith("error: criterion index 9 out of range\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["suite", "--quick", "--criteria", "5", "--tolerance", "1e-30"],
     ["suite", "--quick", "--prec-bits", "400"],
@@ -128,6 +152,7 @@ def test_suite_quick_single_criterion(capsys):
     ["verify-gamma-identity", "--seed", "3"],
     ["limit-exp", "--tolerance", "1e-3"],
     ["eval-macdonald", "--seed", "1"],
+    ["eval-whittaker", "--scheme", "gauss-legendre-composite"],
 ])
 def test_flag_the_command_ignores_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

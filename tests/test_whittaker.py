@@ -6,7 +6,7 @@ import pytest
 
 from qwlab.gamma import gamma_c
 from qwlab.qcore import DomainError
-from qwlab.quadrature import GAUSS_LEGENDRE, TANH_SINH, QuadratureConfig, integrate_nd
+from qwlab.quadrature import QuadratureConfig, integrate_nd
 from qwlab.whittaker import (
     GiventalPattern,
     _interior_box,
@@ -79,17 +79,10 @@ def test_whittaker_single_variable_exact():
     assert abs(res.value - expect) < mp.mpf("1e-24")
 
 
-def test_whittaker_pair_cross_scheme():
-    lam, x = (0.5, -0.2), (0.3, -0.3)
-    r1 = whittaker_eval(lam, x, QuadratureConfig(scheme=TANH_SINH, target_rel_error=1e-10))
-    r2 = whittaker_eval(lam, x, QuadratureConfig(scheme=GAUSS_LEGENDRE, target_rel_error=1e-10))
-    assert abs(r1.value - r2.value) / abs(r1.value) < mp.mpf("1e-8")
-
-
 def test_whittaker_pair_matches_raw_pattern_integral():
     # The tuned integrand against a direct exp(action) quadrature.
     lam, x = (0.4, -0.1), (0.2, -0.5)
-    cfg = QuadratureConfig(scheme=GAUSS_LEGENDRE, target_rel_error=1e-10)
+    cfg = QuadratureConfig(target_rel_error=1e-10)
     direct = integrate_nd(
         lambda pt: mp.exp(givental_action(lam, GiventalPattern(((pt[0],), x)))),
         [(-6, 6)], cfg)
@@ -103,7 +96,7 @@ def test_whittaker_triple_matches_givental_recursion_step():
     #   e^{i(lam1 + lam2)(z1 + z2)/2} 2 K_{i(lam1 - lam2)}(2 e^{-(z1 - z2)/2}),
     # against the row-2/row-3 couplings and the lam3 phase, in 2-d.
     lam, x = (0.5, 0.1, -0.4), (0.4, 0.0, -0.4)
-    cfg = QuadratureConfig(scheme=GAUSS_LEGENDRE, target_rel_error=1e-7)
+    cfg = QuadratureConfig(target_rel_error=1e-7)
     l1, l2, l3 = (mp.mpc(v) for v in lam)
     x1, x2, x3 = (mp.mpf(v) for v in x)
 
@@ -128,8 +121,8 @@ def test_whittaker_triple_same_nodes_as_raw_pattern_integral(prec_bits):
     # mpf so that both sides build the same box.
     lam = (0.5, 0.1, -0.4)
     x = tuple(mp.mpf(v) for v in (0.4, 0.0, -0.4))
-    cfg = QuadratureConfig(scheme=GAUSS_LEGENDRE, box_halfwidth=1.0,
-                           target_rel_error=0.2, prec_bits=prec_bits)
+    cfg = QuadratureConfig(box_halfwidth=1.0, target_rel_error=0.2,
+                           prec_bits=prec_bits)
     raw = integrate_nd(
         lambda pt: mp.exp(givental_action(
             lam, GiventalPattern(((pt[0],), (pt[1], pt[2]), x)))),
@@ -160,7 +153,7 @@ def test_whittaker_triple_exponential_count_is_quadratic(monkeypatch):
         return exp(*args, **kwargs)
 
     monkeypatch.setattr(mp, "exp", counting_exp)
-    cfg = QuadratureConfig(scheme=GAUSS_LEGENDRE, box_halfwidth=2.5, target_rel_error=1e-9)
+    cfg = QuadratureConfig(box_halfwidth=2.5, target_rel_error=1e-9)
     res = whittaker_eval((0.5, 0.1, -0.4), (0.4, 0.0, -0.4), cfg)
     assert res.diagnostics["levels"] == 2
     assert calls[0] < 3 * (24**2 + 48**2)
@@ -182,11 +175,9 @@ def test_whittaker_permutation_invariance_pair():
 
 def test_whittaker_box_doubling_within_error():
     lam, x = (0.5, -0.2), (0.3, -0.3)
-    r1 = whittaker_eval(lam, x, QuadratureConfig(scheme=GAUSS_LEGENDRE,
-                                                 box_halfwidth=4.5,
+    r1 = whittaker_eval(lam, x, QuadratureConfig(box_halfwidth=4.5,
                                                  target_rel_error=1e-10))
-    r2 = whittaker_eval(lam, x, QuadratureConfig(scheme=GAUSS_LEGENDRE,
-                                                 box_halfwidth=9.0,
+    r2 = whittaker_eval(lam, x, QuadratureConfig(box_halfwidth=9.0,
                                                  target_rel_error=1e-10))
     assert abs(r1.value - r2.value) <= r1.error + r2.error + mp.mpf("1e-20")
 
@@ -250,7 +241,7 @@ def test_stade_rejects_bad_domain():
 ])
 def test_stade_pair_matches_gamma_product(u, lam, nu):
     # Default configuration: composite Gauss-Legendre to 1e-11, 66 bits.
-    prec = QuadratureConfig(scheme=GAUSS_LEGENDRE, target_rel_error=1e-11).working_prec()
+    prec = QuadratureConfig(target_rel_error=1e-11).working_prec()
     with mp.workprec(256):
         rhs = mp.mpf(u) ** -(mp.fsum(lam) + mp.fsum(nu))
         for li in lam:
