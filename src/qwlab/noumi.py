@@ -11,12 +11,19 @@ applied to f(q^{nu_1} z_1, ..., q^{nu_N} z_N).  On a Macdonald polynomial
 the series collapses to an explicit q-Pochhammer ratio eigenvalue, and the
 identity holds coefficientwise in exact rational arithmetic; the checks
 here demand exact zeros.
+
+z, q and t must be exact rationals (int or Fraction).  The weight factors
+as the cross product times prod_i w_i(nu_i), with
+w_i(m) = prod_j (t z_i/z_j; q)_m / (q z_i/z_j; q)_m built once per point
+and reused by every composition; numerators and denominators are
+multiplied as integers and normalised once per weight.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .qcore import (
@@ -25,6 +32,7 @@ from .qcore import (
     compositions_of_weight,
     qbinomial_ratio_series,
     qpoch_finite,
+    rational_parts,
 )
 from .report import VerificationReport
 from .sampling import distinct_rationals, unit_interval_rational
@@ -37,8 +45,31 @@ from .symfunc import (
 )
 
 
-def noumi_coeff(nu: Sequence[int], z: Sequence, q, t):
-    """The scalar weight multiplying f(q^nu . z) in the zeta^{|nu|} term."""
+@lru_cache(maxsize=256)
+def _pochhammer_weight(z: tuple, i: int, m: int, q, t) -> Fraction:
+    """w_i(m) = prod_j (t z_i/z_j; q)_m / (q z_i/z_j; q)_m: the part of
+    noumi_coeff that depends on nu only through nu_i = m.  Memoised on every
+    input it reads, so one point's weights are built once and reused by all
+    the compositions of every order."""
+    num = den = 1
+    for zj in z:
+        if zj == 0:
+            raise DomainError("zero coordinate in Pochhammer ratio")
+        ratio = Fraction(z[i], zj)
+        top = qpoch_finite(t * ratio, q, m)
+        bottom = qpoch_finite(q * ratio, q, m)
+        if bottom == 0:
+            raise DomainError("Pochhammer denominator vanished (non-generic z)")
+        num *= top.numerator * bottom.denominator
+        den *= top.denominator * bottom.numerator
+    return Fraction(num, den)
+
+
+def noumi_coeff(nu: Sequence[int], z: Sequence, q, t) -> Fraction:
+    """The scalar weight multiplying f(q^nu . z) in the zeta^{|nu|} term,
+    for exact rational z, q and t: the cross product times prod_i w_i(nu_i).
+    Numerators and denominators are multiplied as integers and normalised
+    once."""
     nu = tuple(nu)
     z = tuple(z)
     n = len(z)
@@ -46,29 +77,25 @@ def noumi_coeff(nu: Sequence[int], z: Sequence, q, t):
         raise DomainError("shift index and point must have the same length")
     if any(v < 0 for v in nu):
         raise DomainError("shift indices must be non-negative")
-    one = z[0] * 0 + q * 0 + t * 0 + 1
-    qpow = [q**v if v else one for v in nu]
-    cross = one
+    nums, dens = rational_parts(z + (q, t))
+    # With z_i = a_i/b_i and q = c/e, the cross factor for i < j is
+    # (c^nu_i e^nu_j a_i b_j - c^nu_j e^nu_i a_j b_i) / (e^(nu_i+nu_j) (a_i b_j - a_j b_i)).
+    cpow = [nums[n] ** v for v in nu]
+    epow = [dens[n] ** v for v in nu]
+    num = den = 1
     for i in range(n):
         for j in range(i + 1, n):
-            den = z[i] - z[j]
-            if den == 0:
+            gap = nums[i] * dens[j] - nums[j] * dens[i]
+            if gap == 0:
                 raise DomainError("coincident coordinates hit a cross-ratio pole")
-            cross = cross * (qpow[i] * z[i] - qpow[j] * z[j]) / den
-    poch = one
+            num *= cpow[i] * epow[j] * nums[i] * dens[j] - cpow[j] * epow[i] * nums[j] * dens[i]
+            den *= epow[i] * epow[j] * gap
     for i in range(n):
-        if nu[i] == 0:
-            continue
-        for j in range(n):
-            if z[j] == 0:
-                raise DomainError("zero coordinate in Pochhammer ratio")
-            ratio = z[i] / z[j]
-            num = qpoch_finite(t * ratio, q, nu[i])
-            den = qpoch_finite(q * ratio, q, nu[i])
-            if den == 0:
-                raise DomainError("Pochhammer denominator vanished (non-generic z)")
-            poch = poch * num / den
-    return cross * poch
+        if nu[i]:
+            w = _pochhammer_weight(z, i, nu[i], q, t)
+            num *= w.numerator
+            den *= w.denominator
+    return Fraction(num, den)
 
 
 def apply_noumi(f_eval: Callable, z: Sequence, q, t, order: int) -> ZetaSeries:
@@ -80,13 +107,14 @@ def apply_noumi(f_eval: Callable, z: Sequence, q, t, order: int) -> ZetaSeries:
     """
     z = tuple(z)
     n = len(z)
-    zero = z[0] * 0 + q * 0 + t * 0
+    # shifts[i][m] = q^m z_i, built once for every composition.
+    shifts = [[zi * q**m for m in range(order + 1)] for zi in z]
     coeffs = []
     for k in range(order + 1):
-        acc = zero
+        acc = Fraction(0)
         for nu in compositions_of_weight(k, n):
-            shifted = tuple(z[i] * q ** nu[i] for i in range(n))
-            acc = acc + noumi_coeff(nu, z, q, t) * f_eval(shifted)
+            shifted = tuple(shifts[i][nu[i]] for i in range(n))
+            acc += noumi_coeff(nu, z, q, t) * f_eval(shifted)
         coeffs.append(acc)
     return ZetaSeries(tuple(coeffs))
 
@@ -179,6 +207,8 @@ def macdonald_d1_check(lam, n: int, q=None, t=None, samples: int = 5,
     lam = check_partition(lam)
     if n < 1:
         raise DomainError(f"need at least one variable, got n = {n}")
+    if len(lam) > n:
+        raise DomainError(f"lambda = {lam} needs at least {len(lam)} variables")
     rng = random.Random(seed)
     records = []
     ok = True

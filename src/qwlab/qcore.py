@@ -7,8 +7,10 @@ Everything downstream runs on one of two scalar domains:
 * arbitrary-precision floats/complexes (mpmath `mpf`/`mpc`) -- used for the
   analytic side, with the working precision set explicitly by the caller.
 
-All functions here are pure and accept either domain; they never silently
-convert an exact input to floating point.
+The q-series functions here are pure and accept either domain; they never
+silently convert an exact input to floating point.  `rational_parts` splits
+exact rationals into integer numerators and denominators for the code that
+runs on integers, and rejects every other scalar.
 """
 
 from __future__ import annotations
@@ -33,6 +35,18 @@ class DomainError(QwlabError):
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or a plain integer/decimal string into a Fraction."""
     return Fraction(text.strip())
+
+
+def rational_parts(values) -> tuple:
+    """Numerators and denominators of exact rationals (int or Fraction), as
+    two lists; any other scalar raises DomainError."""
+    nums, dens = [], []
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise DomainError(f"exact rationals required, got {type(v).__name__}")
+        nums.append(v.numerator)
+        dens.append(v.denominator)
+    return nums, dens
 
 
 def set_precision(bits: int):

@@ -11,18 +11,23 @@ bugs in any one route cannot pass unnoticed:
 * for t = 0, the interlacing branching sum with q-Pochhammer weights.
 
 All three run over exact rationals; agreement is checked exactly in the
-test suite.
+test suite.  Points, parameters and coefficients must be exact rationals
+(int or Fraction); anything else raises DomainError.  The hot arithmetic
+runs on integers and builds one Fraction per result: a monomial is summed
+as prod_i a_i^alpha_i b_i^(d - alpha_i) over its exponent vectors at
+z_i = a_i/b_i, and the linear solve is Bareiss fraction-free elimination.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .qcore import DomainError, QwlabError, qpoch_finite
+from .qcore import DomainError, QwlabError, qpoch_finite, rational_parts
 
 MAX_DEGREE = 6
 MAX_NVARS = 4
@@ -154,32 +159,61 @@ class SymmetricPolynomial:
         return hash((self.nvars, tuple(sorted(self.terms.items()))))
 
 
-def monomial_value(mu, z: tuple):
-    """m_mu(z): sum of x^alpha over distinct permutations alpha of mu."""
-    n = len(z)
-    mu = trim(mu)
-    if len(mu) > n:
-        return z[0] * 0
-    padded = mu + (0,) * (n - len(mu))
-    total = z[0] * 0
-    for perm in set(itertools.permutations(padded)):
-        term = z[0] * 0 + 1
-        for zi, e in zip(z, perm):
-            if e:
-                term = term * zi**e
-        total = total + term
-    return total
+@lru_cache(maxsize=None)
+def _exponents(mu: tuple, n: int) -> tuple:
+    """The distinct exponent vectors of m_mu in n variables: the distinct
+    permutations of mu padded with zeros to length n."""
+    return tuple(sorted(set(itertools.permutations(mu + (0,) * (n - len(mu))))))
 
 
-def eval_symmetric(f: SymmetricPolynomial, z) -> object:
-    """Evaluate f at the point z; len(z) must equal f.nvars."""
+def _scaled_monomials(mus, nums, dens, d: int) -> list:
+    """m_mu(z) * prod_i b_i^d for each mu, as integers, where z_i = a_i/b_i
+    and every |mu| <= d: the sum over exponent vectors alpha of m_mu of
+    prod_i a_i^alpha_i b_i^(d - alpha_i)."""
+    n = len(nums)
+    cols = [[a**e * b ** (d - e) for e in range(d + 1)] for a, b in zip(nums, dens)]
+    out = []
+    for mu in mus:
+        total = 0
+        if len(mu) <= n:
+            for alpha in _exponents(mu, n):
+                term = 1
+                for col, e in zip(cols, alpha):
+                    term *= col[e]
+                total += term
+        out.append(total)
+    return out
+
+
+def monomial_values(mus, z) -> list:
+    """[m_mu(z) for mu in mus] at a point of exact rationals, as Fractions."""
+    nums, dens = rational_parts(z)
+    mus = [trim(mu) for mu in mus]
+    d = max((weight(mu) for mu in mus), default=0)
+    scale = math.prod(dens) ** d
+    return [Fraction(s, scale) for s in _scaled_monomials(mus, nums, dens, d)]
+
+
+def monomial_value(mu, z) -> Fraction:
+    """m_mu(z): sum of z^alpha over distinct permutations alpha of mu."""
+    return monomial_values((mu,), z)[0]
+
+
+def eval_symmetric(f: SymmetricPolynomial, z) -> Fraction:
+    """Evaluate f at the point z of exact rationals; len(z) must equal
+    f.nvars.  The sum runs on integers over one common denominator."""
     z = tuple(z)
     if len(z) != f.nvars:
         raise DomainError(f"arity mismatch: polynomial in {f.nvars} vars, point has {len(z)}")
-    total = z[0] * 0 if z else Fraction(0)
-    for mu in sorted(f.terms):
-        total = total + f.terms[mu] * monomial_value(mu, z)
-    return total
+    nums, dens = rational_parts(z)
+    mus = sorted(f.terms)
+    coeff_nums, coeff_dens = rational_parts(f.terms[mu] for mu in mus)
+    d = max((weight(mu) for mu in mus), default=0)
+    common = math.lcm(*coeff_dens)
+    total = 0
+    for p, c, s in zip(coeff_nums, coeff_dens, _scaled_monomials(mus, nums, dens, d)):
+        total += p * (common // c) * s
+    return Fraction(total, common * math.prod(dens) ** d)
 
 
 # ---------------------------------------------------------------------------
@@ -188,22 +222,45 @@ def eval_symmetric(f: SymmetricPolynomial, z) -> object:
 
 
 def solve_exact(A, B):
-    """Solve A X = B by Gauss-Jordan elimination over exact scalars.  B and
-    the returned X are lists of rows, one column per right-hand side."""
+    """Solve A X = B for exact rational A and B; B and the returned X are
+    lists of rows, one column per right-hand side.
+
+    Each row of [A | B] is scaled to integers by the lcm of its
+    denominators, Bareiss fraction-free elimination (exact integer division
+    by the previous pivot) makes it upper triangular, and back-substitution
+    runs in Fractions.  A zero pivot is skipped by the same row swap as
+    Gaussian elimination, so the system is singular exactly when no row
+    offers a nonzero pivot.
+    """
     n = len(A)
-    M = [list(row) + list(b) for row, b in zip(A, B)]
+    M = []
+    for row, b in zip(A, B):
+        nums, dens = rational_parts(list(row) + list(b))
+        common = math.lcm(*dens)
+        M.append([p * (common // c) for p, c in zip(nums, dens)])
+    width = len(M[0]) if M else 0
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
         if pivot is None:
             raise SingularMatrixError("singular system in exact solve")
         M[col], M[pivot] = M[pivot], M[col]
-        pv = M[col][col]
-        M[col] = [v / pv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [row[n:] for row in M]
+        top = M[col]
+        pv = top[col]
+        for r in range(col + 1, n):
+            row = M[r]
+            f = row[col]
+            M[r] = [0] * (col + 1) + [(pv * row[c] - f * top[c]) // prev
+                                      for c in range(col + 1, width)]
+        prev = pv
+    X = [None] * n
+    for r in range(n - 1, -1, -1):
+        row = M[r]
+        X[r] = [
+            (row[n + j] - sum(row[k] * X[k][j] for k in range(r + 1, n))) / Fraction(row[r])
+            for j in range(width - n)
+        ]
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -351,21 +408,33 @@ def inner_product(f: SymmetricPolynomial, g: SymmetricPolynomial,
 # ---------------------------------------------------------------------------
 
 
-def d1_apply_point(f: SymmetricPolynomial, z, q, t):
-    """Evaluate (D1 f)(z) with D1 = sum_i prod_{j!=i} (t z_i - z_j)/(z_i - z_j) T_{q,z_i}."""
-    z = tuple(z)
-    total = z[0] * 0
+def _d1_terms(z: tuple, q, t) -> list:
+    """The terms of D1 at z, for exact rational z, q and t: for each i the
+    pair (prod_{j!=i} (t z_i - z_j)/(z_i - z_j), z with z_i -> q z_i).
+    With z_i = a_i/b_i and t = c/e a factor is
+    (c a_i b_j - e a_j b_i) / (e (a_i b_j - a_j b_i)), multiplied as integers."""
+    nums, dens = rational_parts(z + (t,))
+    c, e = nums.pop(), dens.pop()
+    out = []
     for i in range(len(z)):
-        num = z[0] * 0 + 1
-        den = z[0] * 0 + 1
+        num = den = 1
         for j in range(len(z)):
             if j != i:
-                num = num * (t * z[i] - z[j])
-                den = den * (z[i] - z[j])
-        if den == 0:
-            raise DomainError("coincident coordinates in difference operator")
-        shifted = z[:i] + (q * z[i],) + z[i + 1:]
-        total = total + (num / den) * eval_symmetric(f, shifted)
+                gap = nums[i] * dens[j] - nums[j] * dens[i]
+                if gap == 0:
+                    raise DomainError("coincident coordinates in difference operator")
+                num *= c * nums[i] * dens[j] - e * nums[j] * dens[i]
+                den *= e * gap
+        out.append((Fraction(num, den), z[:i] + (q * z[i],) + z[i + 1:]))
+    return out
+
+
+def d1_apply_point(f: SymmetricPolynomial, z, q, t) -> Fraction:
+    """Evaluate (D1 f)(z) with D1 = sum_i prod_{j!=i} (t z_i - z_j)/(z_i - z_j) T_{q,z_i}."""
+    z = tuple(z)
+    total = Fraction(0)
+    for w, shifted in _d1_terms(z, q, t):
+        total += w * eval_symmetric(f, shifted)
     return total
 
 
@@ -398,11 +467,15 @@ def _d1_matrix(n: int, N: int, q, t):
     rng = random.Random(0x5EED ^ (n * 131 + N))
     for _ in range(64):
         points = [_sample_distinct_fractions(rng, N) for _ in range(k)]
-        E = [[monomial_value(mu, pt) for mu in basis] for pt in points]
+        E = [monomial_values(basis, pt) for pt in points]
         # Column s of V holds D1 m_s at the points; E X = V gives its
         # monomial coefficients.
-        V = [[d1_apply_point(SymmetricPolynomial({mu: Fraction(1)}, N), pt, q, t)
-              for mu in basis] for pt in points]
+        V = []
+        for pt in points:
+            row = [Fraction(0)] * k
+            for w, shifted in _d1_terms(pt, q, t):
+                row = [r + w * v for r, v in zip(row, monomial_values(basis, shifted))]
+            V.append(row)
         try:
             X = solve_exact(E, V)
         except SingularMatrixError:
@@ -419,6 +492,8 @@ def macdonald_triangular_eigen(lam, N: int, q, t,
     n = weight(lam)
     if n > degree_cap:
         raise DomainError(f"|lambda| = {n} exceeds degree cap {degree_cap}")
+    if N < 1:
+        raise DomainError(f"need at least one variable, got N = {N}")
     if N > MAX_NVARS:
         raise DomainError(f"N = {N} exceeds variable cap {MAX_NVARS}")
     if len(lam) > N:

@@ -56,6 +56,7 @@ def test_domain_error_reports_exit_2(capsys):
     for argv in (["verify-stade", "--u", "-1", "--lambda", "0.7", "--nu", "0.6"],
                  ["verify-noumi", "--n", "0", "--lambda="],
                  ["verify-d1", "--n", "0", "--lambda="],
+                 ["verify-d1", "--n", "1", "--lambda=2,1"],
                  ["eval-macdonald", "--lambda=", "--n", "0", "--z="]):
         code = run(argv)
         out, err = _capture(capsys)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import qwlab.noumi
+
 from qwlab.qcore import DomainError, compositions_of_weight, qpoch_finite
 from qwlab.noumi import (
     apply_noumi,
@@ -133,3 +135,39 @@ def test_d1_check_trivial_and_deep():
 def test_verify_rejects_long_partition():
     with pytest.raises(DomainError):
         verify_noumi((1, 1), 1, Q, T)
+    with pytest.raises(DomainError):
+        macdonald_d1_check((2, 1), 1, Q, T)
+
+
+def test_apply_noumi_builds_pochhammer_weights_once_per_point(monkeypatch):
+    # Each w_i(m), 1 <= m <= order, takes two Pochhammer symbols per j: at
+    # most 2 n^2 order calls, against two per (i, j) for every composition
+    # (1120 at n = 4, order 4) when every weight is built afresh.
+    calls = [0]
+
+    def counting_qpoch(*args):
+        calls[0] += 1
+        return qpoch_finite(*args)
+
+    monkeypatch.setattr(qwlab.noumi, "qpoch_finite", counting_qpoch)
+    n, order = 4, 4
+    z = (F(3, 11), F(-5, 13), F(7, 17), F(-2, 19))  # a point no other test uses
+    series = apply_noumi(lambda pt: F(1), z, Q, T, order)
+    assert 0 < calls[0] <= 2 * n * n * order
+    expect = [sum((noumi_coeff_naive(nu, z, Q, T) for nu in compositions_of_weight(k, n)), F(0))
+              for k in range(order + 1)]
+    assert list(series.coeffs) == expect
+
+
+def test_coeff_memo_is_keyed_on_q_and_t():
+    z = (F(2, 9), F(-7, 5), F(4, 3))
+    nu = (2, 0, 1)
+    for q, t in ((Q, T), (F(2, 7), T), (F(2, 7), F(3, 8)), (Q, T)):
+        assert noumi_coeff(nu, z, q, t) == noumi_coeff_naive(nu, z, q, t)
+
+
+def test_coeff_rejects_inexact_inputs():
+    z = (F(1, 2), F(1, 3))
+    for args in (((1, 0), (0.5, F(1, 3)), Q, T), ((1, 0), z, 0.25, T), ((1, 0), z, Q, 0.2)):
+        with pytest.raises(DomainError):
+            noumi_coeff(*args)

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from qwlab.qcore import DomainError
@@ -204,3 +205,124 @@ def test_solve_exact_one_column():
 def test_solve_exact_singular():
     with pytest.raises(SingularMatrixError):
         solve_exact([[F(1), F(2)], [F(2), F(4)]], [[F(1)], [F(0)]])
+
+
+def monomial_value_oracle(mu, z):
+    """m_mu(z) by a bare loop of Fraction products over the distinct
+    permutations of mu padded with zeros."""
+    padded = tuple(mu) + (0,) * (len(z) - len(mu))
+    total = F(0)
+    for alpha in set(itertools.permutations(padded)):
+        term = F(1)
+        for zi, e in zip(z, alpha):
+            term *= F(zi) ** e
+        total += term
+    return total
+
+
+def _oracle_points(rng, n):
+    yield distinct_rationals(rng, n)
+    yield tuple(-v for v in distinct_rationals(rng, n))
+    # a zero coordinate, and repeated integer coordinates
+    yield (F(0),) + distinct_rationals(rng, n - 1)
+    yield tuple(F(k % 2 - 2) for k in range(n))
+
+
+def test_integer_monomial_evaluation_matches_fraction_oracle():
+    rng = random.Random(41)
+    for n in range(1, 5):
+        mus = [mu for d in range(7) for mu in partitions_of(d) if len(mu) <= n]
+        for z in _oracle_points(rng, n):
+            for mu in mus:
+                assert monomial_value(mu, z) == monomial_value_oracle(mu, z), (mu, z)
+            # m_mu of a partition longer than the point vanishes
+            assert monomial_value((1,) * (n + 1), z) == 0
+
+
+def test_eval_symmetric_matches_fraction_oracle_non_homogeneous():
+    rng = random.Random(43)
+    for n in range(1, 5):
+        mus = [mu for d in range(6) for mu in partitions_of(d) if len(mu) <= n]
+        terms = {mu: F(rng.randint(-9, 9), rng.randint(1, 9)) for mu in mus}
+        terms[()] = 3  # an int coefficient and a constant term
+        f = SymmetricPolynomial(terms, n)
+        for z in _oracle_points(rng, n):
+            expect = sum(F(c) * monomial_value_oracle(mu, z) for mu, c in f.terms.items())
+            got = eval_symmetric(f, z)
+            assert isinstance(got, F)
+            assert got == expect, z
+
+
+def test_exact_evaluation_rejects_inexact_points():
+    f = SymmetricPolynomial({(1,): F(1)}, 2)
+    for z in ((0.5, F(1, 3)), (F(1, 2), mp.mpf("0.25")), (F(1, 2), mp.mpc(1, 1))):
+        with pytest.raises(DomainError):
+            monomial_value((1,), z)
+        with pytest.raises(DomainError):
+            eval_symmetric(f, z)
+    with pytest.raises(DomainError):
+        eval_symmetric(SymmetricPolynomial({(1,): 0.5}, 2), (F(1), F(2)))
+
+
+def solve_gauss_jordan(A, B):
+    """Gauss-Jordan elimination over Fractions with the first nonzero pivot
+    in each column: the test oracle for solve_exact."""
+    n = len(A)
+    M = [list(row) + list(b) for row, b in zip(A, B)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if pivot is None:
+            raise SingularMatrixError("singular system in exact solve")
+        M[col], M[pivot] = M[pivot], M[col]
+        pv = M[col][col]
+        M[col] = [v / pv for v in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+    return [row[n:] for row in M]
+
+
+def _random_rational(rng):
+    return F(rng.randint(-20, 20), rng.choice((1, 2, 3, 7, 12, 35, 99)))
+
+
+def test_solve_exact_matches_gauss_jordan_on_random_systems():
+    rng = random.Random(47)
+    solved = 0
+    for size in range(1, 8):
+        for _ in range(6):
+            A = [[_random_rational(rng) for _ in range(size)] for _ in range(size)]
+            if size > 1:
+                A[0][0] = F(0)  # the first column needs a row swap
+            rhs = rng.randint(1, 4)
+            B = [[_random_rational(rng) for _ in range(rhs)] for _ in range(size)]
+            try:
+                expect = solve_gauss_jordan(A, B)
+            except SingularMatrixError:
+                with pytest.raises(SingularMatrixError):
+                    solve_exact(A, B)
+                continue
+            X = solve_exact(A, B)
+            assert X == expect
+            assert all(isinstance(v, F) for row in X for v in row)
+            AX = [[sum(A[i][k] * X[k][j] for k in range(size)) for j in range(rhs)]
+                  for i in range(size)]
+            assert AX == B
+            solved += 1
+    assert solved >= 35
+
+
+def test_solve_exact_singular_after_elimination():
+    # Row 3 = row 1 / 2 - 3 row 2 / 5: no zero column until the last step.
+    r1 = [F(1, 3), F(2), F(-5, 7)]
+    r2 = [F(4), F(1, 6), F(3, 2)]
+    r3 = [a / 2 - 3 * b / 5 for a, b in zip(r1, r2)]
+    with pytest.raises(SingularMatrixError):
+        solve_exact([r1, r2, r3], [[F(1)], [F(2)], [F(3)]])
+
+
+def test_triangular_eigen_needs_a_variable():
+    for N in (0, -1):
+        with pytest.raises(DomainError):
+            macdonald_triangular_eigen((), N, Q, T)
