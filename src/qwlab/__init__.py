@@ -10,7 +10,6 @@ from .qcore import (
     DomainError,
     QwlabError,
     ZetaSeries,
-    parse_rational,
     qbinomial_ratio_series,
     qpoch_finite,
     qpoch_infinite,
@@ -46,7 +45,6 @@ from .whittaker import (
     givental_action,
     pair_profile,
     sklyanin_m,
-    sklyanin_s,
     stade_check,
     whittaker_eval,
 )

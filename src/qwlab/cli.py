@@ -13,8 +13,6 @@ import json
 import sys
 from fractions import Fraction
 
-import mpmath as mp
-
 from . import __version__
 from .baxter import TestFunction, baxter_eigen_check, gamma_identity_check, lemma1_check
 from .limits import (
@@ -25,7 +23,7 @@ from .limits import (
     term_limit_checks,
 )
 from .noumi import macdonald_d1_check, verify_noumi
-from .qcore import QwlabError, parse_rational, set_precision
+from .qcore import QwlabError, set_precision
 from .quadrature import QuadratureConfig
 from .report import format_value
 from .suite import CRITERIA, run_criterion
@@ -46,7 +44,7 @@ def _complexes(text: str) -> tuple:
 
 
 def _rationals(text: str) -> tuple:
-    return tuple(parse_rational(v) for v in text.split(",") if v.strip() != "")
+    return tuple(Fraction(v) for v in text.split(",") if v.strip() != "")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=True)
     p.add_argument("--lambda", dest="lam", type=_ints, default=(1,))
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--q", type=parse_rational, default=None)
-    p.add_argument("--t", type=parse_rational, default=None)
+    p.add_argument("--q", type=Fraction, default=None)
+    p.add_argument("--t", type=Fraction, default=None)
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--samples", type=int, default=5)
 
@@ -82,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=True)
     p.add_argument("--lambda", dest="lam", type=_ints, default=(1,))
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--q", type=parse_rational, default=None)
-    p.add_argument("--t", type=parse_rational, default=None)
+    p.add_argument("--q", type=Fraction, default=None)
+    p.add_argument("--t", type=Fraction, default=None)
     p.add_argument("--samples", type=int, default=5)
 
     p = sub.add_parser("verify-gamma-identity", help="Gamma ratio identity behind the residue matching")
@@ -139,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lambda", dest="lam", type=_ints, default=(2, 1))
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--q", type=parse_rational, default=Fraction(1, 3))
-    p.add_argument("--t", type=parse_rational, default=Fraction(1, 5))
+    p.add_argument("--q", type=Fraction, default=Fraction(1, 3))
+    p.add_argument("--t", type=Fraction, default=Fraction(1, 5))
     p.add_argument("--z", type=_rationals, default=None)
 
     p = sub.add_parser("eval-whittaker", help="evaluate a Whittaker function by quadrature")
@@ -185,26 +183,20 @@ def run(argv=None) -> int:
                                           samples=args.samples, seed=args.seed)]
         elif cmd == "verify-gamma-identity":
             with set_precision(args.prec_bits or 100):
-                tol = args.tolerance if args.tolerance is not None else 1e-10
-                reports = [gamma_identity_check(args.r, args.nu, tol)]
+                reports = [gamma_identity_check(args.r, args.nu, args.tolerance)]
         elif cmd == "verify-lemma1":
             f = TestFunction(args.kind,
                              b=args.b if args.kind == "product-pole" else None,
                              c=args.c if args.kind == "exp-cutoff" else None)
             with set_precision(args.prec_bits or 100):
-                tol = args.tolerance if args.tolerance is not None else 1e-6
                 reports = [lemma1_check(f, args.w, args.u, args.a,
-                                        cap=args.truncation, tolerance=tol)]
+                                        cap=args.truncation, tolerance=args.tolerance)]
         elif cmd == "verify-stade":
-            n = len(args.lam)
-            tol = args.tolerance if args.tolerance is not None else (1e-8 if n == 1 else 1e-4)
             reports = [stade_check(args.u, args.lam, args.nu, args.which,
-                                   tolerance=tol)]
+                                   tolerance=args.tolerance)]
         elif cmd == "verify-baxter":
-            n = len(args.w)
-            tol = args.tolerance if args.tolerance is not None else (1e-6 if n == 1 else 1e-3)
             reports = [baxter_eigen_check(args.w, args.u, args.x, args.which,
-                                          tolerance=tol, a_shift=args.a_shift)]
+                                          tolerance=args.tolerance, a_shift=args.a_shift)]
         elif cmd == "limit-exp":
             reports = [eq_exp_limit_check(args.eps_list, args.u, args.x_n,
                                           prec_bits=args.prec_bits or 128)]

@@ -164,6 +164,11 @@ def verify_noumi(lam, n: int, q=None, t=None, order: int = 4,
         raise DomainError(f"need at least one variable, got n = {n}")
     if len(lam) > n:
         raise DomainError(f"lambda = {lam} needs at least {len(lam)} variables")
+    if order < 1:
+        raise DomainError(f"need order >= 1, got order = {order}: "
+                          "the zeta^0 term compares P(z) with itself")
+    if samples < 1:
+        raise DomainError(f"need at least one sample, got samples = {samples}")
     rng = random.Random(seed)
     sample_records = []
     all_residuals_zero = True
@@ -209,6 +214,8 @@ def macdonald_d1_check(lam, n: int, q=None, t=None, samples: int = 5,
         raise DomainError(f"need at least one variable, got n = {n}")
     if len(lam) > n:
         raise DomainError(f"lambda = {lam} needs at least {len(lam)} variables")
+    if samples < 1:
+        raise DomainError(f"need at least one sample, got samples = {samples}")
     rng = random.Random(seed)
     records = []
     ok = True

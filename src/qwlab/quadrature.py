@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .qcore import QwlabError
+from .qcore import MIN_PREC_BITS, DomainError, QwlabError
 
 GAUSS_LEGENDRE = "gauss-legendre-composite"
 
@@ -44,6 +44,9 @@ class QuadratureConfig:
             raise QwlabError(f"unknown quadrature scheme {self.scheme!r}")
         if self.box_halfwidth <= 0 or self.target_rel_error <= 0:
             raise QwlabError("box half-width and target error must be positive")
+        if self.prec_bits is not None and self.prec_bits < MIN_PREC_BITS:
+            raise DomainError(
+                f"precision must be >= {MIN_PREC_BITS} bits, got {self.prec_bits}")
 
     def working_prec(self) -> int:
         if self.prec_bits is not None:
@@ -67,8 +70,10 @@ GL_ORDER = 12
 
 
 @lru_cache(maxsize=None)
-def gauss_legendre_rule(order: int, prec: int) -> tuple:
-    """Nodes/weights on [-1, 1], Newton-refined to the requested precision."""
+def gauss_legendre_rule(prec: int) -> tuple:
+    """GL_ORDER nodes/weights on [-1, 1], Newton-refined to the requested
+    precision."""
+    order = GL_ORDER
     with mp.workprec(prec + 20):
         nodes = []
         for k in range(1, order + 1):
@@ -97,7 +102,7 @@ def nodes_1d(level: int, lo, hi, prec: int) -> tuple:
     lo, hi = mp.mpf(lo), mp.mpf(hi)
     width = hi - lo
     panels = max(1, int(mp.ceil(width / 3))) * 2**level
-    rule = gauss_legendre_rule(GL_ORDER, prec)
+    rule = gauss_legendre_rule(prec)
     out = []
     step = width / panels
     for p in range(panels):

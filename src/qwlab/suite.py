@@ -239,35 +239,32 @@ def criterion_4_residue_vs_contour(quick: bool = False) -> list:
             pole = TestFunction("product-pole", b=3.0)
             w2 = (mp.mpc(0, -0.5), mp.mpc(1, -0.6))
             cfg = QuadratureConfig(target_rel_error=1e-8)
-            reports.append(lemma1_check(pole, w2, 1.0, 1.0, cap=40, cfg=cfg,
-                                        tolerance=1e-6))
+            reports.append(lemma1_check(pole, w2, 1.0, 1.0, cap=40, cfg=cfg))
     return reports
 
 
 def criterion_5_stade(quick: bool = False) -> list:
     reports = [
-        stade_check(1.0, (0.7,), (0.6,), "first", tolerance=1e-8),
-        stade_check(1.0, (0.7,), (0.6,), "second", tolerance=1e-8),
+        stade_check(1.0, (0.7,), (0.6,), "first"),
+        stade_check(1.0, (0.7,), (0.6,), "second"),
     ]
     if not quick:
-        reports.append(stade_check(1.0, (0.5, 0.2), (0.4, 0.3), "first",
-                                   tolerance=1e-4))
-        reports.append(stade_check(1.0, (0.5, 0.2), (0.4, 0.3), "second",
-                                   tolerance=1e-4))
+        reports.append(stade_check(1.0, (0.5, 0.2), (0.4, 0.3), "first"))
+        reports.append(stade_check(1.0, (0.5, 0.2), (0.4, 0.3), "second"))
     return reports
 
 
 def criterion_6_baxter_eigenrelation(quick: bool = False) -> list:
     w1 = (mp.mpc(0.3, -0.4),)
     reports = [
-        baxter_eigen_check(w1, 1.0, (0.2,), "second", tolerance=1e-6),
-        baxter_eigen_check(w1, 1.0, (0.2,), "first", tolerance=1e-6),
+        baxter_eigen_check(w1, 1.0, (0.2,), "second"),
+        baxter_eigen_check(w1, 1.0, (0.2,), "first"),
     ]
     if not quick:
         w2 = (mp.mpc(0.2, -0.5), mp.mpc(-0.1, -0.6))
         x2 = (0.3, -0.3)
-        reports.append(baxter_eigen_check(w2, 1.0, x2, "second", tolerance=1e-3))
-        reports.append(baxter_eigen_check(w2, 1.0, x2, "first", tolerance=1e-3))
+        reports.append(baxter_eigen_check(w2, 1.0, x2, "second"))
+        reports.append(baxter_eigen_check(w2, 1.0, x2, "first"))
     return reports
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .qcore import DomainError, QwlabError, qpoch_finite, rational_parts
+from .qcore import DomainError, QwlabError, rational_parts
 
 MAX_DEGREE = 6
 MAX_NVARS = 4
@@ -354,8 +354,7 @@ def monomial_gram(n: int, q: Fraction, t: Fraction):
 # ---------------------------------------------------------------------------
 
 
-def macdonald_gram_schmidt(lam, q, t, nvars: int | None = None,
-                           degree_cap: int = MAX_DEGREE) -> SymmetricPolynomial:
+def macdonald_gram_schmidt(lam, q, t, nvars: int | None = None) -> SymmetricPolynomial:
     """P_lambda as m_lambda + (dominance-lower terms), orthogonal to all
     m_mu with mu < lambda under the (q,t) power-sum inner product.
 
@@ -364,8 +363,8 @@ def macdonald_gram_schmidt(lam, q, t, nvars: int | None = None,
     """
     lam = check_partition(lam)
     n = weight(lam)
-    if n > degree_cap:
-        raise DomainError(f"|lambda| = {n} exceeds degree cap {degree_cap}")
+    if n > MAX_DEGREE:
+        raise DomainError(f"|lambda| = {n} exceeds degree cap {MAX_DEGREE}")
     q, t = Fraction(q), Fraction(t)
     if nvars is None:
         nvars = max(n, 1)  # |lambda| variables keep the full stable expansion
@@ -484,14 +483,13 @@ def _d1_matrix(n: int, N: int, q, t):
     raise SingularMatrixError("could not find generic evaluation points")
 
 
-def macdonald_triangular_eigen(lam, N: int, q, t,
-                               degree_cap: int = MAX_DEGREE) -> SymmetricPolynomial:
+def macdonald_triangular_eigen(lam, N: int, q, t) -> SymmetricPolynomial:
     """P_lambda in N variables as the D1 eigenvector with eigenvalue
     sum_i q^{lambda_i} t^{N-i}, normalized so the m_lambda coefficient is 1."""
     lam = check_partition(lam)
     n = weight(lam)
-    if n > degree_cap:
-        raise DomainError(f"|lambda| = {n} exceeds degree cap {degree_cap}")
+    if n > MAX_DEGREE:
+        raise DomainError(f"|lambda| = {n} exceeds degree cap {MAX_DEGREE}")
     if N < 1:
         raise DomainError(f"need at least one variable, got N = {N}")
     if N > MAX_NVARS:

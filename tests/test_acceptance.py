@@ -20,6 +20,12 @@ STATED_TOLERANCES = {
     8: "reflection 1e-12; bracket x2; Whittaker mirror 1e-8",
 }
 
+# Criteria whose checks take their default tolerance, by N.
+DEFAULT_TOLERANCES = {
+    5: {1: 1e-8, 2: 1e-4},
+    6: {1: 1e-6, 2: 1e-3},
+}
+
 
 @pytest.mark.parametrize("index", range(1, len(CRITERIA) + 1))
 def test_acceptance_criterion(index):
@@ -29,3 +35,5 @@ def test_acceptance_criterion(index):
           f"({elapsed:.1f}s, {len(reports)} checks, {STATED_TOLERANCES[index]})")
     failing = [(r.check_id, r.params, str(r.rel_err)) for r in reports if not r.passed]
     assert passed, f"{name} failed: {failing}"
+    if index in DEFAULT_TOLERANCES:
+        assert {r.params["n"]: r.tolerance for r in reports} == DEFAULT_TOLERANCES[index]

@@ -57,7 +57,14 @@ def test_domain_error_reports_exit_2(capsys):
                  ["verify-noumi", "--n", "0", "--lambda="],
                  ["verify-d1", "--n", "0", "--lambda="],
                  ["verify-d1", "--n", "1", "--lambda=2,1"],
-                 ["eval-macdonald", "--lambda=", "--n", "0", "--z="]):
+                 ["eval-macdonald", "--lambda=", "--n", "0", "--z="],
+                 ["eval-whittaker", "--prec-bits", "10"],
+                 ["limit-exp", "--eps-list", "0.4,0"],
+                 ["limit-terms", "--eps-list", "0.4,0"],
+                 ["limit-exp", "--eps-list", "1.5,0.2"],
+                 ["verify-noumi", "--samples", "0"],
+                 ["verify-noumi", "--order", "0"],
+                 ["verify-d1", "--samples", "0"]):
         code = run(argv)
         out, err = _capture(capsys)
         assert (code, out) == (2, ""), argv

@@ -18,7 +18,7 @@ def test_a_eps_corrected_tracks_euler_product():
     with set_precision(128):
         for eps in (0.2, 0.1, 0.05):
             q = mp.exp(-mp.mpf(eps))
-            direct = mp.log(qpoch_infinite(q, q, tol=1e-35))
+            direct = mp.log(qpoch_infinite(q, q))
             # The asymptotic is off by eps/24 + O(eps^2).
             assert abs(a_eps_corrected(eps) - direct) < eps / 20
 
@@ -92,6 +92,14 @@ def test_eq_exp_large_x_trivializes():
 def test_eq_exp_requires_decreasing_ladder():
     with pytest.raises(DomainError):
         eq_exp_limit_check((0.1, 0.2), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("ladder", [(0.4, 0.0), (1.5, 0.2), (0.4, -0.1)])
+def test_ladders_reject_epsilon_outside_unit_interval(ladder):
+    with pytest.raises(DomainError, match=r"epsilon must lie in \(0, 1\)"):
+        eq_exp_limit_check(ladder, 1.0, 0.0)
+    with pytest.raises(DomainError, match=r"epsilon must lie in \(0, 1\)"):
+        term_limit_checks(ladder, (1, 0), (0.5, -0.2))
 
 
 def test_term_limits_zero_shift_is_exact():

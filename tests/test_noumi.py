@@ -139,6 +139,17 @@ def test_verify_rejects_long_partition():
         macdonald_d1_check((2, 1), 1, Q, T)
 
 
+def test_verify_rejects_vacuous_runs():
+    # No sample, or order 0 (the zeta^0 term compares P(z) with itself),
+    # would pass without checking anything.
+    with pytest.raises(DomainError):
+        verify_noumi((1,), 2, Q, T, samples=0)
+    with pytest.raises(DomainError):
+        verify_noumi((1,), 2, Q, T, order=0)
+    with pytest.raises(DomainError):
+        macdonald_d1_check((1,), 2, Q, T, samples=0)
+
+
 def test_apply_noumi_builds_pochhammer_weights_once_per_point(monkeypatch):
     # Each w_i(m), 1 <= m <= order, takes two Pochhammer symbols per j: at
     # most 2 n^2 order calls, against two per (i, j) for every composition

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from qwlab.qcore import (
     DomainError,
     ZetaSeries,
-    parse_rational,
     qbinomial_ratio_series,
     qpoch_finite,
     qpoch_infinite,
@@ -52,19 +51,23 @@ def test_qpoch_infinite_rejects_q_outside_disc():
         qpoch_infinite(F(1, 2), F(3, 2))
 
 
-def test_qpoch_infinite_truncation_stability():
-    # Two very different tolerances agree to the coarser one.
-    v1 = qpoch_infinite(F(1, 2), F(1, 2), tol=1e-20)
-    v2 = qpoch_infinite(F(1, 2), F(1, 2), tol=1e-35)
-    assert abs(v1 - v2) < F(1, 10**19)
-
-
 def test_qpoch_infinite_matches_finite_head():
     q = F(1, 2)
-    full = qpoch_infinite(q, q, tol=1e-30)
-    head = qpoch_finite(q, q, 40)
-    # The tail beyond 40 factors is below 2^-40 relative.
-    assert abs(full - head) / head < F(1, 2**38)
+    with set_precision(128):
+        full = qpoch_infinite(q, q)
+        head = mp.mpmathify(qpoch_finite(q, q, 40))
+        # The tail beyond 40 factors is below 2^-40 relative.
+        assert abs(full - head) / head < mp.mpf(2) ** -38
+
+
+def test_qpoch_infinite_near_unit_circle():
+    # q = e^-0.01 needs about 9000 factors at 128 bits, more than mpmath's
+    # default cap of 50 per bit; the tail past 10000 factors is below e^-100.
+    with set_precision(128):
+        q = mp.exp(mp.mpf("-0.01"))
+        a = mp.mpf("-0.01")
+        head = qpoch_finite(a, q, 10000)
+        assert abs(qpoch_infinite(a, q) / head - 1) < mp.mpf(2) ** -120
 
 
 def test_qbinomial_trivial_ratio():
@@ -102,11 +105,6 @@ def test_zeta_series_identity_and_square():
 def test_zeta_series_order_mismatch():
     with pytest.raises(DomainError):
         ZetaSeries((F(1), F(0))) * ZetaSeries((F(1),))
-
-
-def test_parse_rational():
-    assert parse_rational("3/7") == F(3, 7)
-    assert parse_rational("-2") == F(-2)
 
 
 def test_set_precision_floor():

@@ -7,6 +7,7 @@ import pytest
 
 import qwlab
 from qwlab.baxter import _baxter_pair_integral, contour_apply
+from qwlab.qcore import DomainError
 from qwlab.quadrature import (
     GAUSS_LEGENDRE,
     QuadratureConfig,
@@ -59,7 +60,7 @@ def test_error_estimate_bounds_the_k_bessel_closed_form():
 
 def test_gauss_legendre_rule_exactness():
     # 12-point rule integrates degree-23 monomials exactly.
-    rule = gauss_legendre_rule(12, 80)
+    rule = gauss_legendre_rule(80)
     with mp.workprec(80):
         val = sum(w * x**22 for x, w in rule)
         assert abs(val - mp.mpf(2) / 23) < mp.mpf(2) ** (-70)
@@ -78,6 +79,8 @@ def test_bad_config_rejected():
         QuadratureConfig(scheme="tanh-sinh")
     with pytest.raises(Exception):
         QuadratureConfig(box_halfwidth=-1)
+    with pytest.raises(DomainError, match="precision must be >= 64 bits"):
+        QuadratureConfig(prec_bits=10)
 
 
 def test_refine_stops_at_first_agreeing_pair():

@@ -14,7 +14,6 @@ from qwlab.whittaker import (
     pair_coupling,
     pair_profile,
     sklyanin_m,
-    sklyanin_s,
     stade_check,
     whittaker_eval,
 )
@@ -194,7 +193,6 @@ def test_separation_matches_pattern_integral():
 
 def test_sklyanin_single_point():
     assert abs(sklyanin_m((0.7,)) - 1 / (2 * mp.pi)) < mp.mpf("1e-24")
-    assert abs(sklyanin_s((0.7,)) - 1 / (2j * mp.pi)) < mp.mpf("1e-24")
 
 
 def test_sklyanin_pair_matches_direct_substitution():
