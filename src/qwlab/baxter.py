@@ -16,22 +16,26 @@ corners, and to the left of Re(xi) = a in the working regime
 side of the line and the printed identity genuinely fails, so that regime
 is rejected.)
 
-Separable pair kernels.  Both N = 2 integrals are double sums over one node
-set with a pair factor of d = xi_1 - xi_2, and both pair factors split
-exactly into products of single-node factors, so the double sums cost O(n)
-(contour) and O(n m) (spectral, m chi-grid nodes) instead of O(n^2) and
-O(n^2 m):
+Separable pair kernels.  Both multiple integrals are sums over one node
+set with a pair factor of xi_i - xi_j, and both pair factors split exactly
+into products of single-node factors, so no sum runs over node tuples:
 
-* contour form, product test functions: -d sin(pi d)/pi has rank 4 (the
-  four sums of g, g xi against sin(pi xi), cos(pi xi));
-* spectral form: d sinh(pi d) cos(tau d)/pi has rank 8 per chi-grid node
-  tau (the sums of a, a t against e^{+-pi t} cos(tau t), e^{+-pi t} sin(tau t)).
+* contour form, any N: with c(d) = -d sin(pi d)/pi and M = N(N-1)/2,
+  prod_{i<j} c(xi_i - xi_j) = (-1/(2 pi i))^M det[xi_j^k] det[e^{i pi (2l-N+1) xi_j}]
+  (Vandermonde determinants in xi and in e^{2 pi i xi}).  For a product test
+  function Andreief's identity (C. Andreief 1886; P. J. Forrester,
+  arXiv:1806.10411) then turns the N-fold node sum into N! det B, with
+  B_kl = sum_j G_j xi_j^k e^{i pi (2l-N+1) xi_j} and G_j the node weight
+  times the integrand's single-variable factors: O(N^2 n) work per level;
+* spectral form, N = 2: d sinh(pi d) cos(tau d)/pi has rank 8 per chi-grid
+  node tau (the sums of a, a t against e^{+-pi t} cos(tau t), e^{+-pi t}
+  sin(tau t)), O(n m) work instead of O(n^2 m) for m chi-grid nodes.
 
-The single-node factors grow like e^{pi |Im xi|} (contour) or e^{pi |t|}
-(spectral), so the products can exceed the result by e^{2 pi H}, with H the
-largest such height; they are combined at 2 pi H log2(e) guard bits above
-the working precision.  The contour form keeps the pairwise O(n^2) sum for a
-plain callable f, which also serves as the tests' oracle.
+The single-node factors grow with the height H, the largest |Im xi| or |t|,
+so the separated terms can exceed the result: by e^{pi floor(N^2/2) H} for
+det B, whose column l grows like e^{pi |2l-N+1| H}, and by e^{2 pi H} for
+the rank-8 sum.  Each is combined at that many guard bits (log2 e per unit
+of exponent) above the working precision.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .quadrature import (
     refine,
 )
 from .report import VerificationReport, comparison_report
-from .whittaker import pair_coupling, whittaker_eval
+from .whittaker import whittaker_eval
 
 
 @dataclass(frozen=True)
@@ -215,26 +219,27 @@ def _check_contour_regime(w, a: float):
             )
 
 
-def contour_apply(f, w, u, a: float,
+def contour_apply(f: TestFunction, w, u, a: float,
                   cfg: QuadratureConfig | None = None) -> QuadResult:
     """integral over (a + i R)^N (bent for convergence) of
 
         s_N(xi) u^{sum_i (i w_i - xi_i)} prod_{i,j} Gamma(xi_j - i w_i) f(-i xi).
 
-    Requires u > 0, a > 0, -a < Im(w_i), and f analytic/bounded on
-    {Im v >= -a}; N <= 2.  At N = 2 a TestFunction takes the rank-4 pair
-    sum (`_rank4_pair_sum`); any other callable f takes the pairwise sum.
+    Requires a TestFunction f analytic and bounded on {Im v >= -a}, u > 0,
+    a > 0, -a < Im(w_i), and N <= 3.  Every N takes the Andreief sum
+    (`_andreief_sum`) of the product integrand.
     """
+    if not isinstance(f, TestFunction):
+        raise DomainError("the contour form needs a product TestFunction")
     w = tuple(mp.mpc(v) for v in w)
     n = len(w)
-    if n not in (1, 2):
-        raise DomainError("contour form implemented for N in {1, 2}")
+    if not 1 <= n <= 3:
+        raise DomainError("contour form implemented for N in {1, 2, 3}")
     u = mp.mpf(u)
     if u <= 0:
         raise DomainError("u must be positive")
     _check_contour_regime(w, a)
-    if isinstance(f, TestFunction):
-        f.check_analytic(a)
+    f.check_analytic(a)
     if cfg is None:
         cfg = QuadratureConfig(target_rel_error=1e-9)
     prec = cfg.working_prec()
@@ -244,77 +249,59 @@ def contour_apply(f, w, u, a: float,
         for wi in w:
             uw = uw * u ** (1j * wi)
 
-        separable = isinstance(f, TestFunction) and n == 2
-
         def axis_factor(xi):
             g = mp.exp(-xi * log_u)
             for wi in w:
                 g = g * gamma_c(xi - 1j * wi)
-            if separable:
-                g = g * f.axis_value(-1j * xi)
-            return g
+            return g * f.axis_value(-1j * xi)
 
         def value_at(level):
             nodes = _bent_contour(w, a, float(u), cfg, level, prec)
             gvals = [(xi, wt * axis_factor(xi)) for xi, wt in nodes]
-            if n == 1:
-                acc = mp.mpc(0)
-                for xi, gw in gvals:
-                    acc += gw * f((-1j * xi,))
-                return uw * acc / (2j * mp.pi)
-            if separable:
-                acc = _rank4_pair_sum(gvals, prec)
-            else:
-                acc = mp.mpc(0)
-                for xi1, gw1 in gvals:
-                    inner = mp.mpc(0)
-                    for xi2, gw2 in gvals:
-                        inner += gw2 * pair_coupling(xi1 - xi2) * f((-1j * xi1, -1j * xi2))
-                    acc += gw1 * inner
-            return uw * acc / ((2j * mp.pi) ** 2 * 2)
+            return uw * _andreief_sum(gvals, n, prec) / (2j * mp.pi) ** n
 
-        # Pair counts grow 4x per level; past level 5 a miss means the
-        # target is out of reach, not under-resolved.
-        max_level = cfg.max_depth if n == 1 else min(cfg.max_depth, 5)
-        return refine(value_at, range(max_level), cfg, "contour quadrature")
+        return refine(value_at, range(cfg.max_depth), cfg, "contour quadrature")
 
 
 def _guard_bits(height) -> int:
-    """Extra bits for a separated pair sum whose single-node factors reach
-    e^{pi height}: its rank-k products can exceed the result by e^{2 pi height}."""
+    """Extra bits for a separated sum whose terms can exceed the result by
+    e^{2 pi height}."""
     return math.ceil(2 * math.pi * float(height) * math.log2(math.e))
 
 
-def _rank4_pair_sum(gvals, prec: int):
-    """sum_{j,k} g_j g_k pair_coupling(xi_j - xi_k) over all node pairs,
+def _andreief_sum(gvals, n: int, prec: int):
+    """(1/N!) sum over node N-tuples of prod_j g_j prod_{i<j} pair_coupling(xi_i - xi_j),
     exactly as
 
-        -(2/pi) (S_xs S_c - S_xc S_s),  S_xs = sum g xi sin(pi xi), ...,
+        (-1/(2 pi i))^M det B,  B_kl = sum_j g_j xi_j^k e^{i pi (2l-N+1) xi_j},
 
-    since -d sin(pi d) with d = xi_j - xi_k expands into four products of
-    single-node factors.  The four sums are combined at prec plus the guard
-    bits of the largest |Im xi|."""
+    with M = N(N-1)/2 (Andreief's identity).  B is built in node order at
+    prec plus the guard bits of e^{pi floor(N^2/2) H}, H the largest |Im xi|."""
     height = max(abs(mp.im(xi)) for xi, _ in gvals)
-    with mp.workprec(prec + _guard_bits(height)):
-        g = [gw for _, gw in gvals]
-        gx = [gw * xi for xi, gw in gvals]
-        sin = [mp.sinpi(xi) for xi, _ in gvals]
-        cos = [mp.cospi(xi) for xi, _ in gvals]
-        return -2 / mp.pi * (mp.fdot(gx, sin) * mp.fdot(g, cos)
-                             - mp.fdot(gx, cos) * mp.fdot(g, sin))
+    with mp.workprec(prec + _guard_bits(height * (n * n // 2) / 2)):
+        B = [[mp.mpc(0)] * n for _ in range(n)]
+        for xi, g in gvals:
+            phases = [mp.expjpi((2 * l - n + 1) * xi) for l in range(n)]
+            for row in B:
+                for l, phase in enumerate(phases):
+                    row[l] += g * phase
+                g = g * xi
+        return (-1 / (2j * mp.pi)) ** (n * (n - 1) // 2) * mp.det(B)
 
 
 def lemma1_check(f: TestFunction, w, u, a: float,
                         cap: int = 30,
                         cfg: QuadratureConfig | None = None,
                         tolerance: float | None = None) -> VerificationReport:
-    """Residue form at argument -u against the contour form: the two
+    """Residue form at argument -u against the contour form, N <= 3: the two
     evaluations of the same operator must agree, to a relative tolerance
-    that defaults to 1e-8 at N = 1 and 1e-6 at N = 2."""
+    that defaults to 1e-8 at N = 1 and 1e-6 at N >= 2.  The contour form
+    runs first, so an input outside its domain is rejected before any
+    residue shell is summed."""
     if tolerance is None:
         tolerance = 1e-8 if len(w) == 1 else 1e-6
-    res = residue_apply(f, w, -mp.mpf(u), cap)
     con = contour_apply(f, w, u, a, cfg)
+    res = residue_apply(f, w, -mp.mpf(u), cap)
     return comparison_report(
         check_id="baxter-residue-vs-contour",
         params={"kind": f.kind, "b": f.b, "c": f.c, "w": list(w), "u": u,

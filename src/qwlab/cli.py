@@ -43,8 +43,16 @@ def _complexes(text: str) -> tuple:
     return tuple(complex(v.replace(" ", "")) for v in text.split(",") if v.strip() != "")
 
 
+def _rational(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator reported as a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(text) from exc
+
+
 def _rationals(text: str) -> tuple:
-    return tuple(Fraction(v) for v in text.split(",") if v.strip() != "")
+    return tuple(_rational(v) for v in text.split(",") if v.strip() != "")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=True)
     p.add_argument("--lambda", dest="lam", type=_ints, default=(1,))
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--q", type=Fraction, default=None)
-    p.add_argument("--t", type=Fraction, default=None)
+    p.add_argument("--q", type=_rational, default=None)
+    p.add_argument("--t", type=_rational, default=None)
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--samples", type=int, default=5)
 
@@ -80,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=True)
     p.add_argument("--lambda", dest="lam", type=_ints, default=(1,))
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--q", type=Fraction, default=None)
-    p.add_argument("--t", type=Fraction, default=None)
+    p.add_argument("--q", type=_rational, default=None)
+    p.add_argument("--t", type=_rational, default=None)
     p.add_argument("--samples", type=int, default=5)
 
     p = sub.add_parser("verify-gamma-identity", help="Gamma ratio identity behind the residue matching")
@@ -137,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lambda", dest="lam", type=_ints, default=(2, 1))
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--q", type=Fraction, default=Fraction(1, 3))
-    p.add_argument("--t", type=Fraction, default=Fraction(1, 5))
+    p.add_argument("--q", type=_rational, default=Fraction(1, 3))
+    p.add_argument("--t", type=_rational, default=Fraction(1, 5))
     p.add_argument("--z", type=_rationals, default=None)
 
     p = sub.add_parser("eval-whittaker", help="evaluate a Whittaker function by quadrature")

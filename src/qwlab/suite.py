@@ -238,8 +238,10 @@ def criterion_4_residue_vs_contour(quick: bool = False) -> list:
         if not quick:
             pole = TestFunction("product-pole", b=3.0)
             w2 = (mp.mpc(0, -0.5), mp.mpc(1, -0.6))
+            w3 = (mp.mpc(0, -0.5), mp.mpc(0.5, -0.4), mp.mpc(1, -0.3))
             cfg = QuadratureConfig(target_rel_error=1e-8)
-            reports.append(lemma1_check(pole, w2, 1.0, 1.0, cap=40, cfg=cfg))
+            for w in (w2, w3):
+                reports.append(lemma1_check(pole, w, 1.0, 1.0, cap=40, cfg=cfg))
     return reports
 
 

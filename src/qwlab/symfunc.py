@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qcore import DomainError, QwlabError, rational_parts
+from .sampling import distinct_rationals
 
 MAX_DEGREE = 6
 MAX_NVARS = 4
@@ -447,17 +448,6 @@ def d1_eigenvalue(lam, N: int, q, t):
     return acc
 
 
-def _sample_distinct_fractions(rng: random.Random, count: int, max_den: int = 40):
-    vals = []
-    while len(vals) < count:
-        v = Fraction(rng.randint(1, max_den), rng.randint(1, max_den))
-        if rng.random() < 0.5:
-            v = -v
-        if v != 0 and v not in vals:
-            vals.append(v)
-    return tuple(vals)
-
-
 def _d1_matrix(n: int, N: int, q, t):
     """Matrix of D1 on degree-n symmetric polynomials in N variables,
     in the monomial basis, found by exact evaluation at generic points."""
@@ -465,7 +455,7 @@ def _d1_matrix(n: int, N: int, q, t):
     k = len(basis)
     rng = random.Random(0x5EED ^ (n * 131 + N))
     for _ in range(64):
-        points = [_sample_distinct_fractions(rng, N) for _ in range(k)]
+        points = [distinct_rationals(rng, N) for _ in range(k)]
         E = [monomial_values(basis, pt) for pt in points]
         # Column s of V holds D1 m_s at the points; E X = V gives its
         # monomial coefficients.

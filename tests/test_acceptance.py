@@ -13,7 +13,7 @@ STATED_TOLERANCES = {
     1: "exact zero residuals",
     2: "exact agreement",
     3: "rel err < 1e-10; parity exact",
-    4: "N=1 abs err < 1e-10; N=2 rel err < 1e-6",
+    4: "N=1 abs err < 1e-10; N=2, 3 rel err < 1e-6",
     5: "N=1 rel err < 1e-8; N=2 rel err < 1e-4",
     6: "N=1 rel err < 1e-6; N=2 rel err < 1e-3",
     7: "strictly decreasing ladders; sweep halved",

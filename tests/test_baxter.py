@@ -4,8 +4,10 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qwlab.baxter
 from qwlab.baxter import (
     TestFunction as CutoffFunction,
+    _bent_contour,
     _rank8_pair_sum,
     baxter_eigen_check,
     contour_apply,
@@ -14,8 +16,10 @@ from qwlab.baxter import (
     lemma1_check,
     residue_apply,
 )
+from qwlab.gamma import gamma_c
 from qwlab.qcore import DomainError
 from qwlab.quadrature import QuadratureConfig
+from qwlab.whittaker import pair_coupling
 
 
 def setup_function(_fn):
@@ -190,20 +194,88 @@ def test_eigen_requires_lower_half_plane():
 W2 = (mp.mpc(0, -0.5), mp.mpc(1, -0.6))
 
 
+def _pairwise_contour(f, w, u, a, cfg):
+    """The N = 2 contour form as the O(n^2) sum over node pairs of the bent
+    contour, with pair_coupling as the pair factor, at levels 0 and 1:
+    returns level 1's value and its distance from level 0's."""
+    w = tuple(mp.mpc(v) for v in w)
+    prec = cfg.working_prec()
+    with mp.workprec(prec):
+        u = mp.mpf(u)
+        log_u = mp.log(u)
+        uw = mp.mpc(1)
+        for wi in w:
+            uw = uw * u ** (1j * wi)
+
+        def value_at(level):
+            gvals = []
+            for xi, wt in _bent_contour(w, a, float(u), cfg, level, prec):
+                g = mp.exp(-xi * log_u)
+                for wi in w:
+                    g = g * gamma_c(xi - 1j * wi)
+                gvals.append((xi, wt * g))
+            acc = mp.mpc(0)
+            for xi1, gw1 in gvals:
+                inner = mp.mpc(0)
+                for xi2, gw2 in gvals:
+                    inner += gw2 * pair_coupling(xi1 - xi2) * f((-1j * xi1, -1j * xi2))
+                acc += gw1 * inner
+            return uw * acc / ((2j * mp.pi) ** 2 * 2)
+
+        coarse, fine = value_at(0), value_at(1)
+        return +fine, +abs(fine - coarse)
+
+
 @pytest.mark.parametrize("prec", [100, 200])
 @pytest.mark.parametrize("f", [CutoffFunction("product-pole", b=3.0),
                                CutoffFunction("exp-cutoff", c=0.3)],
                          ids=lambda f: f.kind)
 def test_separable_pair_sum_matches_pairwise_oracle(f, prec):
     # Two levels: the value is level 1's sum, the error its distance from
-    # level 0's.  A plain callable takes the pairwise O(n^2) path.
+    # level 0's.  The oracle sums the same nodes pair by pair.
     cfg = QuadratureConfig(target_rel_error=1e-3, max_depth=2, prec_bits=prec)
     separable = contour_apply(f, W2, 1.0, 1.0, cfg)
-    pairwise = contour_apply(lambda v: f(v), W2, 1.0, 1.0, cfg)
-    assert separable.diagnostics["levels"] == pairwise.diagnostics["levels"] == 2
-    unit = mp.mpf(2) ** (6 - prec) * abs(pairwise.value)
-    assert abs(separable.value - pairwise.value) < unit
-    assert abs(separable.error - pairwise.error) < unit
+    value, error = _pairwise_contour(f, W2, 1.0, 1.0, cfg)
+    assert separable.diagnostics["levels"] == 2
+    unit = mp.mpf(2) ** (6 - prec) * abs(value)
+    assert abs(separable.value - value) < unit
+    assert abs(separable.error - error) < unit
+
+
+W3 = (mp.mpc(0, -0.5), mp.mpc(0.5, -0.4), mp.mpc(1, -0.3))
+CFG3 = QuadratureConfig(target_rel_error=1e-8)
+
+
+@pytest.mark.parametrize("f", [CutoffFunction("constant"),
+                               CutoffFunction("product-pole", b=3.0)],
+                         ids=lambda f: f.kind)
+def test_lemma_three_variables(f):
+    rep = lemma1_check(f, W3, 1.0, 1.0, cfg=CFG3)
+    assert rep.tolerance == 1e-6
+    assert rep.passed
+
+
+def test_contour_three_variables_symmetric_under_w_permutation():
+    f = CutoffFunction("product-pole", b=3.0)
+    a = contour_apply(f, W3, 1.0, 1.0, CFG3)
+    b = contour_apply(f, (W3[2], W3[0], W3[1]), 1.0, 1.0, CFG3)
+    assert abs(a.value - b.value) <= a.error + b.error
+
+
+def test_contour_rejects_a_plain_callable():
+    with pytest.raises(DomainError):
+        contour_apply(lambda v: 1, W1, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("w", [W3 + (mp.mpc(-1, -0.5),), (mp.mpc(0, -0.5), mp.mpc(1, -1.2))],
+                         ids=["n4", "low-w"])
+def test_lemma_rejects_bad_input_before_the_residue_series(w, monkeypatch):
+    def residue_apply(*args, **kwargs):
+        raise AssertionError("residue series summed before the input was checked")
+
+    monkeypatch.setattr(qwlab.baxter, "residue_apply", residue_apply)
+    with pytest.raises(DomainError):
+        lemma1_check(CutoffFunction("constant"), w, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("prec", [64, 128])

@@ -71,6 +71,22 @@ def test_domain_error_reports_exit_2(capsys):
         assert err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval-macdonald", "--q", "1/0"],
+    ["eval-macdonald", "--t", "1/0"],
+    ["eval-macdonald", "--z", "2/3,1/0"],
+    ["verify-noumi", "--q", "1/0"],
+    ["verify-noumi", "--t", "1/0"],
+    ["verify-d1", "--q", "1/0"],
+    ["verify-d1", "--t", "1/0"],
+], ids=lambda argv: f"{argv[0]} {argv[1]}")
+def test_zero_denominator_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}: invalid" in capsys.readouterr().err
+
+
 def test_unwritable_out_reports_exit_2(tmp_path, capsys):
     path = tmp_path / "missing" / "x.json"
     code = run(["verify-d1", "--out", str(path)])

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 import qwlab
-from qwlab.baxter import _baxter_pair_integral, contour_apply
+from qwlab.baxter import TestFunction as CutoffFunction, _baxter_pair_integral, contour_apply
 from qwlab.qcore import DomainError
 from qwlab.quadrature import (
     GAUSS_LEGENDRE,
@@ -129,8 +129,8 @@ def _spectral_pair_sum():
                                             ONE_LEVEL)),
     ("pattern quadrature", lambda: whittaker_eval(
         (0.5, 0.1, -0.2), (0.3, 0.0, -0.3), ONE_LEVEL)),
-    ("contour quadrature", lambda: contour_apply(lambda v: 1, (0.3 - 0.2j,), 1, 1.0,
-                                                 ONE_LEVEL)),
+    ("contour quadrature", lambda: contour_apply(CutoffFunction("constant"), (0.3 - 0.2j,),
+                                                 1, 1.0, ONE_LEVEL)),
     ("spectral quadrature", _spectral_pair_sum),
 ], ids=["1-d", "2-d", "pattern", "contour", "spectral"])
 def test_every_refined_sum_needs_two_levels(label, run):
