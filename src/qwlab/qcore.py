@@ -61,7 +61,7 @@ def set_precision(bits: int):
 class ZetaSeries:
     """Truncated power series sum_{k=0}^{order} coeffs[k] * zeta^k.
 
-    Arithmetic truncates at the shared order; mixing orders is an error
+    The product truncates at the shared order; mixing orders is an error
     rather than an implicit truncation.
     """
 
@@ -80,14 +80,6 @@ class ZetaSeries:
     def one(cls, order: int, domain_one=Fraction(1)) -> "ZetaSeries":
         zero = domain_one * 0
         return cls((domain_one,) + (zero,) * order)
-
-    def __add__(self, other: "ZetaSeries") -> "ZetaSeries":
-        self._check_order(other)
-        return ZetaSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "ZetaSeries") -> "ZetaSeries":
-        self._check_order(other)
-        return ZetaSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "ZetaSeries") -> "ZetaSeries":
         return zeta_series_mul(self, other)

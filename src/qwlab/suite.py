@@ -107,7 +107,8 @@ def criterion_2_macdonald_cross_validation(quick: bool = False) -> list:
 def _gamma_identity_batch(n: int, rng: random.Random, nu_max: int,
                           samples: int, tolerance: float) -> VerificationReport:
     """All nu in {0..nu_max}^n against `samples` random r draws, with the
-    Gamma values built once per draw by recurrence from Gamma(+-d_ij).
+    Gamma values built once per draw by recurrence from Gamma(d_ij), one
+    ladder per ordered pair.
 
     A random subsample is cross-checked against gamma_identity_check to
     guard the batched tables themselves.
@@ -120,51 +121,40 @@ def _gamma_identity_batch(n: int, rng: random.Random, nu_max: int,
             mp.mpc(rng.uniform(-2, 2) + k * 0.7, rng.uniform(-1.5, 1.5))
             for k in range(n)
         )
-        # Base Gammas and ladders per ordered pair.
-        g_down = {}   # (i, j) -> [Gamma(d_ij - m) for m in 0..nu_max]
-        g_shift = {}  # (i, j) -> {s: Gamma(-d_ij + s)} for s in -nu_max..nu_max
-        g_up = {}     # (i, j) -> [Gamma(1 + d_ij + m) for m in 0..nu_max]
+        # ladder[(i, j)][k] = Gamma(d_ij + k), d_ij = r_j - r_i, for k in
+        # -nu_max..nu_max + 1: one gamma_c call per ordered pair, then
+        # Gamma(z + 1) = z Gamma(z) up and down.
+        ladder = {}
         for i in range(n):
             for j in range(n):
                 if i == j:
                     continue
                 d = r[j] - r[i]
-                gd = gamma_c(d)
-                down = [gd]
-                for m in range(1, nu_max + 1):
-                    down.append(down[-1] / (d - m))
-                g_down[(i, j)] = down
-                base = gamma_c(-d)
-                shift = {0: base}
-                acc = base
-                for s in range(1, nu_max + 1):
-                    acc = acc * (-d + s - 1)
-                    shift[s] = acc
-                acc = base
-                for s in range(1, nu_max + 1):
-                    acc = acc / (-d - s)
-                    shift[-s] = acc
-                g_shift[(i, j)] = shift
-                up = [d * gd]
-                for m in range(1, nu_max + 1):
-                    up.append(up[-1] * (d + m))
-                g_up[(i, j)] = up
+                up = down = gamma_c(d)
+                rungs = {0: up}
+                for k in range(nu_max + 1):
+                    up = up * (d + k)
+                    rungs[k + 1] = up
+                for k in range(1, nu_max + 1):
+                    down = down / (d - k)
+                    rungs[-k] = down
+                ladder[(i, j)] = rungs
 
         def assemble(nu):
             lhs = mp.mpc(1)
             for i in range(n):
                 for j in range(n):
                     if i != j:
-                        lhs *= g_down[(i, j)][nu[j]]
-                        # Gamma(r_i - r_j - nu_i + nu_j) = Gamma(-d_ij + (nu_j - nu_i))
-                        lhs /= g_shift[(i, j)][nu[j] - nu[i]]
+                        # Gamma(d_ij - nu_j) / Gamma(d_ji + nu_j - nu_i)
+                        lhs *= ladder[(i, j)][-nu[j]]
+                        lhs /= ladder[(j, i)][nu[j] - nu[i]]
             rhs = mp.mpc(1)
             for i in range(n):
                 for j in range(i + 1, n):
                     d = r[j] - r[i]
                     rhs *= (d - nu[j] + nu[i]) / d
-                    rhs *= g_up[(j, i)][0] * g_up[(i, j)][0]
-                    rhs /= g_up[(j, i)][nu[j]] * g_up[(i, j)][nu[i]]
+                    rhs *= ladder[(j, i)][1] * ladder[(i, j)][1]
+                    rhs /= ladder[(j, i)][1 + nu[j]] * ladder[(i, j)][1 + nu[i]]
             return lhs, rhs
 
         for nu in itertools.product(range(nu_max + 1), repeat=n):
@@ -197,7 +187,7 @@ def criterion_3_gamma_identity(quick: bool = False) -> list:
     with mp.workprec(100):
         rng = random.Random(9000)
         for n in ns:
-            # g_shift arguments hit Gamma poles only at integer real parts;
+            # Ladder arguments hit Gamma poles only at integer real parts;
             # the sampler keeps Im(r) generic so ladders stay finite.
             reports.append(_gamma_identity_batch(n, rng, 3, samples, tolerance))
         # kappa parity on random shift vectors
@@ -332,17 +322,21 @@ def criterion_8_analytic_infrastructure(quick: bool = False) -> list:
             diagnostics={"c1": c1, "c2": c2},
         ))
     cfg = QuadratureConfig(target_rel_error=1e-9)
-    cases = [((0.5, -0.2), (0.3, -0.3))]
+    # Each case compares psi_lam(x) with psi_lam2(x2).  N = 2: the reflection
+    # (-lam, -x reversed).  N = 3: the reflected sum would reuse the direct
+    # sum's numbers, but psi_lam is symmetric in lam, so a Weyl-permuted lam
+    # runs a different sum.
+    cases = [("whittaker-reflection", (0.5, -0.2), (0.3, -0.3), (-0.5, 0.2), (0.3, -0.3))]
     if not quick:
-        cases.append(((0.5, 0.1, -0.4), (0.4, 0.0, -0.4)))
-    for lam, x in cases:
+        cases.append(("whittaker-weyl-permutation", (0.5, 0.1, -0.4), (0.4, 0.0, -0.4),
+                      (0.1, -0.4, 0.5), (0.4, 0.0, -0.4)))
+    for check_id, lam, x, lam2, x2 in cases:
         direct = whittaker_eval(lam, x, cfg)
-        mirrored = whittaker_eval(tuple(-v for v in lam),
-                                  tuple(-v for v in reversed(x)), cfg)
+        other = whittaker_eval(lam2, x2, cfg)
         reports.append(comparison_report(
-            "whittaker-reflection",
+            check_id,
             {"lam": list(lam), "x": list(x), "n": len(x)},
-            direct.value, mirrored.value, tolerance=1e-8,
+            direct.value, other.value, tolerance=1e-8,
             diagnostics={"quad_error": direct.error}))
     return reports
 

@@ -6,8 +6,9 @@ bugs in any one route cannot pass unnoticed:
 * Gram-Schmidt against the (q,t) power-sum inner product (the defining
   characterization: monic in m_lambda, orthogonal to dominance-lower
   monomials);
-* the eigenvector of the first Macdonald q-difference operator, solved in
-  the monomial basis;
+* the eigenvector of the first Macdonald q-difference operator: one exact
+  solve for its monomial coefficients, straight from evaluations of
+  (D1 - eigenvalue) m_mu at generic points;
 * for t = 0, the interlacing branching sum with q-Pochhammer weights.
 
 All three run over exact rationals; agreement is checked exactly in the
@@ -448,34 +449,17 @@ def d1_eigenvalue(lam, N: int, q, t):
     return acc
 
 
-def _d1_matrix(n: int, N: int, q, t):
-    """Matrix of D1 on degree-n symmetric polynomials in N variables,
-    in the monomial basis, found by exact evaluation at generic points."""
-    basis = [mu for mu in partitions_of(n) if len(mu) <= N]
-    k = len(basis)
-    rng = random.Random(0x5EED ^ (n * 131 + N))
-    for _ in range(64):
-        points = [distinct_rationals(rng, N) for _ in range(k)]
-        E = [monomial_values(basis, pt) for pt in points]
-        # Column s of V holds D1 m_s at the points; E X = V gives its
-        # monomial coefficients.
-        V = []
-        for pt in points:
-            row = [Fraction(0)] * k
-            for w, shifted in _d1_terms(pt, q, t):
-                row = [r + w * v for r, v in zip(row, monomial_values(basis, shifted))]
-            V.append(row)
-        try:
-            X = solve_exact(E, V)
-        except SingularMatrixError:
-            continue
-        return basis, {mu: [row[s] for row in X] for s, mu in enumerate(basis)}
-    raise SingularMatrixError("could not find generic evaluation points")
-
-
 def macdonald_triangular_eigen(lam, N: int, q, t) -> SymmetricPolynomial:
     """P_lambda in N variables as the D1 eigenvector with eigenvalue
-    sum_i q^{lambda_i} t^{N-i}, normalized so the m_lambda coefficient is 1."""
+    sum_i q^{lambda_i} t^{N-i}, normalized so the m_lambda coefficient is 1.
+
+    One exact solve straight from evaluations: over the k partitions mu of
+    |lambda| with at most N parts, row p holds ((D1 - eig) m_mu)(z_p) at a
+    generic point z_p.  The eigenvalue is simple (collisions raise), so the
+    kernel of D1 - eig is spanned by P_lambda and k - 1 rows fix its non-lambda
+    coefficients; the k-th row checks the solution.  The solve runs over the
+    full basis, so no triangularity is assumed.
+    """
     lam = check_partition(lam)
     n = weight(lam)
     if n > MAX_DEGREE:
@@ -489,36 +473,35 @@ def macdonald_triangular_eigen(lam, N: int, q, t) -> SymmetricPolynomial:
     q, t = Fraction(q), Fraction(t)
     if n == 0:
         return SymmetricPolynomial({(): Fraction(1)}, N)
-    basis, cols = _d1_matrix(n, N, q, t)
+    basis = [mu for mu in partitions_of(n) if len(mu) <= N]
     eig = d1_eigenvalue(lam, N, q, t)
     for mu in basis:
         if mu != lam and d1_eigenvalue(mu, N, q, t) == eig:
             raise DegenerateEigenvalueError(
                 f"eigenvalue collision between {lam} and {mu} at q={q}, t={t}"
             )
-    # Solve (M - eig I) x = 0 with x_lam = 1: move the lam-column to the rhs.
+    # The lam column goes last: with c_lam = 1 it is the right-hand side.
     others = [mu for mu in basis if mu != lam]
-    idx = {mu: i for i, mu in enumerate(basis)}
-    if others:
-        A = [
-            [cols[mu][idx[kappa]] - (eig if mu == kappa else 0) for mu in others]
-            for kappa in basis
-            if kappa != lam
-        ]
-        rhs = [-(cols[lam][idx[kappa]]) for kappa in basis if kappa != lam]
-        sol = [x for (x,) in solve_exact(A, [[r] for r in rhs])]
-    else:
-        sol = []
-    coeffs = {lam: Fraction(1)}
-    for mu, c in zip(others, sol):
-        coeffs[mu] = c
-    # Consistency: the lam-row must close the eigen equation exactly.
-    residual = cols[lam][idx[lam]] - eig
-    for mu, c in zip(others, sol):
-        residual += cols[mu][idx[lam]] * c
-    if residual != 0:
-        raise DegenerateEigenvalueError("eigenvector solve is inconsistent")
-    return SymmetricPolynomial(coeffs, N)
+    order = others + [lam]
+    rng = random.Random(0x5EED ^ (n * 131 + N))
+    for _ in range(64):
+        rows = []
+        for _ in basis:
+            pt = distinct_rationals(rng, N)
+            row = [-eig * v for v in monomial_values(order, pt)]
+            for w, shifted in _d1_terms(pt, q, t):
+                row = [r + w * v for r, v in zip(row, monomial_values(order, shifted))]
+            rows.append(row)
+        try:
+            sol = [c for (c,) in solve_exact([row[:-1] for row in rows[:-1]],
+                                             [[-row[-1]] for row in rows[:-1]])]
+        except SingularMatrixError:
+            continue
+        check = rows[-1]
+        if check[-1] + sum(c * r for c, r in zip(sol, check)) != 0:
+            raise DegenerateEigenvalueError("eigenvector solve is inconsistent")
+        return SymmetricPolynomial({lam: Fraction(1), **dict(zip(others, sol))}, N)
+    raise SingularMatrixError("could not find generic evaluation points")
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,13 @@ def givental_action(lam, pattern: GiventalPattern):
     return total
 
 
-def _interior_box(x, cfg: QuadratureConfig):
-    # Integrand is below e^(-e^pad) outside this window: pad 5 leaves mass
-    # ~1e-64, so the configured half-width only matters if smaller.
-    pad = min(cfg.box_halfwidth, 5.0)
+def _interior_box(x, cfg: QuadratureConfig, pad: float = 5.0):
+    # An entry coupled to the top row x is below e^(-e^pad) outside this
+    # window: pad 5 leaves mass ~1e-64.  The N = 3 row-1 entry couples only
+    # to row 2, whose entries stray a few units past the hull at a cost of
+    # only ~e^-13, so the row-1 tail at pad 5 is ~1e-11: that entry takes
+    # pad 7.  The configured half-width caps the pad.
+    pad = min(cfg.box_halfwidth, pad)
     return (min(x) - pad, max(x) + pad)
 
 
@@ -98,8 +101,8 @@ def whittaker_eval(lam, x, cfg: QuadratureConfig | None = None) -> QuadResult:
         cfg = QuadratureConfig()
     if n == 1:
         return QuadResult(mp.exp(1j * lam[0] * x[0]), mp.mpf(0), {"exact": True})
-    box = _interior_box(x, cfg)
     if n == 2:
+        box = _interior_box(x, cfg)
         l1, l2 = lam
         x1, x2 = x
         # At the integrand's precision: the caller's would round the phase.
@@ -112,10 +115,10 @@ def whittaker_eval(lam, x, cfg: QuadratureConfig | None = None) -> QuadResult:
             )
 
         return integrate_1d(integrand2, box[0], box[1], cfg)
-    return _pattern_quad_3(lam, x, box, cfg)
+    return _pattern_quad_3(lam, x, cfg)
 
 
-def _pattern_quad_3(lam, x, box, cfg: QuadratureConfig) -> QuadResult:
+def _pattern_quad_3(lam, x, cfg: QuadratureConfig) -> QuadResult:
     """N = 3 pattern integral, summed per row-1 node with per-axis tables.
 
     The row-1 entry z1 couples to each row-2 entry (z2, z3), and those two
@@ -127,11 +130,13 @@ def _pattern_quad_3(lam, x, box, cfg: QuadratureConfig) -> QuadResult:
     with E = e^z and a2, a3 the couplings of z2, z3 to the top row x.  This
     is Givental's recursion (Givental 1997) read as a quadrature sum:
     O(n^2) real exponentials per level instead of O(n^3).  The complex
-    spectral phases factor per axis and are precomputed on the shared node
-    list.
+    spectral phases factor per axis and are precomputed on its node list:
+    one for row 1 on its own window, one shared by the two row-2 entries.
     """
     l1, l2, l3 = lam
     x1, x2, x3 = x
+    row1 = _interior_box(x, cfg, pad=7.0)
+    row2 = _interior_box(x, cfg)
     prec = cfg.working_prec()
     with mp.workprec(prec):
         const = mp.exp(1j * l3 * (x1 + x2 + x3))
@@ -141,15 +146,16 @@ def _pattern_quad_3(lam, x, box, cfg: QuadratureConfig) -> QuadResult:
         d23 = 1j * (l2 - l3)
 
         def value_at(level):
-            nodes = nodes_1d(level, box[0], box[1], prec)
             ax1 = []
+            for t, wt in nodes_1d(level, row1[0], row1[1], prec):
+                E = mp.exp(t)
+                ax1.append((E, 1 / E, wt * mp.exp(d12 * t)))
             ax2 = []
             ax3 = []
-            for t, wt in nodes:
+            for t, wt in nodes_1d(level, row2[0], row2[1], prec):
                 E = mp.exp(t)
                 iE = 1 / E
                 p23 = wt * mp.exp(d23 * t)
-                ax1.append((E, iE, wt * mp.exp(d12 * t)))
                 ax2.append((iE, E * c1 + c2 * iE, p23))
                 ax3.append((E, E * c3 + c4 * iE, p23))
             total = mp.mpc(0)

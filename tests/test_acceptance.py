@@ -1,8 +1,8 @@
 """The acceptance gate: every headline criterion at its stated tolerance.
 
 Run with `pytest tests/test_acceptance.py -s` to see one line per criterion.
-The full ladder takes about half a minute; the heavy entry is the N = 3
-Whittaker reflection (criterion 8).
+The full ladder takes about half a minute; the heavy entries are the
+residue series of criterion 4 and the Baxter eigenrelation of criterion 6.
 """
 
 import pytest
@@ -17,7 +17,7 @@ STATED_TOLERANCES = {
     5: "N=1 rel err < 1e-8; N=2 rel err < 1e-4",
     6: "N=1 rel err < 1e-6; N=2 rel err < 1e-3",
     7: "strictly decreasing ladders; sweep halved",
-    8: "reflection 1e-12; bracket x2; Whittaker mirror 1e-8",
+    8: "reflection 1e-12; bracket x2; Whittaker mirror / Weyl permutation 1e-8",
 }
 
 # Criteria whose checks take their default tolerance, by N.

@@ -15,7 +15,13 @@ from qwlab.noumi import (
     verify_noumi,
 )
 from qwlab.sampling import distinct_rationals
-from qwlab.symfunc import eval_symmetric, macdonald_gram_schmidt
+from qwlab.symfunc import (
+    SymmetricPolynomial,
+    _d1_terms,
+    d1_apply_point,
+    eval_symmetric,
+    macdonald_gram_schmidt,
+)
 
 F = Fraction
 Q, T = F(1, 3), F(1, 5)
@@ -182,3 +188,23 @@ def test_coeff_rejects_inexact_inputs():
     for args in (((1, 0), (0.5, F(1, 3)), Q, T), ((1, 0), z, 0.25, T), ((1, 0), z, Q, 0.2)):
         with pytest.raises(DomainError):
             noumi_coeff(*args)
+
+
+def test_first_order_term_is_d1():
+    # The zeta^1 term of the operator is (1 - t)/(1 - q) D1, which ties the
+    # two operator codes together: noumi_coeff at the unit shift e_i is that
+    # factor times the i-th D1 weight, at the same shifted point, and the
+    # zeta^1 coefficient on a symmetric polynomial is the factor times D1.
+    rng = random.Random(11)
+    terms = {(3,): 1, (2, 1): -2, (1, 1): 3, (1,): 5, (): 7}
+    for q, t in ((Q, T), (F(2, 7), F(3, 11))):
+        scale = (1 - t) / (1 - q)
+        for n in range(1, 5):
+            z = distinct_rationals(rng, n)
+            for i, (w, shifted) in enumerate(_d1_terms(z, q, t)):
+                unit = tuple(int(j == i) for j in range(n))
+                assert noumi_coeff(unit, z, q, t) == scale * w
+                assert shifted == tuple(q**e * zj for e, zj in zip(unit, z))
+            f = SymmetricPolynomial({mu: c for mu, c in terms.items() if len(mu) <= n}, n)
+            series = apply_noumi(lambda pt: eval_symmetric(f, pt), z, q, t, 1)
+            assert series.coeffs[1] == scale * d1_apply_point(f, z, q, t)

@@ -8,6 +8,7 @@ import pytest
 from qwlab.qcore import DomainError
 from qwlab.sampling import distinct_rationals, unit_interval_rational
 from qwlab.symfunc import (
+    DegenerateEigenvalueError,
     SingularMatrixError,
     SymmetricPolynomial,
     dominance_leq,
@@ -124,13 +125,21 @@ def test_schur_degeneration_at_t_equals_q():
 
 
 def test_triangular_eigen_matches_gram_schmidt():
-    for lam in [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2)]:
-        for n in (2, 3):
-            if len(lam) > n:
-                continue
-            gs = macdonald_gram_schmidt(lam, Q, T, nvars=n)
-            ei = macdonald_triangular_eigen(lam, n, Q, T)
-            assert gs.terms == ei.terms
+    # Every (lambda, N) with |lambda| <= 6 and N <= 4: the whole degree and
+    # variable range of the D1 route.
+    for size in range(7):
+        for lam in partitions_of(size):
+            for n in range(max(len(lam), 1), 5):
+                gs = macdonald_gram_schmidt(lam, Q, T, nvars=n)
+                ei = macdonald_triangular_eigen(lam, n, Q, T)
+                assert gs.terms == ei.terms, (lam, n)
+
+
+def test_triangular_eigen_rejects_colliding_eigenvalues():
+    # At N = 2 the D1 eigenvalues of (2) and (1, 1), q^2 t + 1 and q t + q,
+    # meet where q t = 1.
+    with pytest.raises(DegenerateEigenvalueError):
+        macdonald_triangular_eigen((2,), 2, 2, F(1, 2))
 
 
 def test_branching_examples():
