@@ -29,30 +29,43 @@ into products of single-node factors, so no sum runs over node tuples:
   times the integrand's single-variable factors: O(N^2 n) work per level;
 * spectral form, N = 2: d sinh(pi d) cos(tau d)/pi has rank 8 per chi-grid
   node tau (the sums of a, a t against e^{+-pi t} cos(tau t), e^{+-pi t}
-  sin(tau t)), O(n m) work instead of O(n^2 m) for m chi-grid nodes.
+  sin(tau t)), O(n m) work instead of O(n^2 m) for m chi-grid nodes.  The
+  axis is a `nodes_1d` panel lattice, t_j = m0 + p h + o_l + eps_j with
+  eps_j a few units in the last place of t_j, so e^{i tau t_j} factors into
+  (e^{i tau h})^p e^{i tau o_l} times e^{i tau m0} and a third-order
+  residual factor in tau eps_j: r + 2 trigonometric evaluations per tau
+  (r = GL_ORDER) instead of n.  The residuals are checked small enough for
+  that factor to be exact at the table's precision.  The phases and the
+  weights are fixed-point integers, so the eight sums per tau are integer
+  dot products.
 
 The single-node factors grow with the height H, the largest |Im xi| or |t|,
 so the separated terms can exceed the result: by e^{pi floor(N^2/2) H} for
 det B, whose column l grows like e^{pi |2l-N+1| H}, and by e^{2 pi H} for
 the rank-8 sum.  Each is combined at that many guard bits (log2 e per unit
-of exponent) above the working precision.
+of exponent) above the working precision; for the rank-8 sum that is the
+width W of its fixed-point weights.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import mpf_cos_sin, mpf_mul, to_fixed
 
 from .gamma import GammaPoleError, gamma_c
 from .qcore import DomainError, QwlabError, compositions_of_weight
 from .quadrature import (
+    PanelLattice,
     QuadratureConfig,
     QuadResult,
     gauss_legendre_rule,
     integrate_1d,
     nodes_1d,
+    panel_lattice,
     refine,
 )
 from .report import VerificationReport, comparison_report
@@ -419,6 +432,9 @@ def baxter_eigen_check(w, u, x, which: str = "second",
         raise DomainError("which must be 'first' or 'second'")
     w = tuple(mp.mpc(v) for v in w)
     x = tuple(mp.mpf(v) for v in x)
+    given = (u, *x, *w) if a_shift is None else (u, a_shift, *x, *w)
+    if not all(mp.isfinite(v) for v in given):
+        raise DomainError("u, a_shift, x and w must be finite")
     n = len(w)
     if len(x) != n or n not in (1, 2):
         raise DomainError("eigenrelation check supports N in {1, 2}")
@@ -512,16 +528,19 @@ def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: i
 
     def value_at(level):
         axis = [(t, wt * g(t)) for t, wt in nodes_1d(level, -T, T, prec)]
-        return uw * _rank8_pair_sum(axis, tg, prec, T) / ((2 * mp.pi) ** 2 * 2)
+        lattice = panel_lattice(level, -T, T, prec)
+        return uw * _rank8_pair_sum(lattice, axis, tg, prec, T) / ((2 * mp.pi) ** 2 * 2)
 
     quad = refine(value_at, range(min(cfg.max_depth, 4)), cfg, "spectral quadrature")
     return quad.value, {**quad.diagnostics, "quad_error": quad.error,
                         "T": T, "chi_nodes": len(tg), "a_shift": a_shift}
 
 
-def _rank8_pair_sum(axis, chi_grid, prec: int, height):
+def _rank8_pair_sum(lattice: PanelLattice, axis, chi_grid, prec: int, height):
     """sum_{j,k} a_j a_k (d sinh(pi d)/pi) chi(d) over all node pairs, where
-    d = t_j - t_k and chi(d) = sum_m omega_m cos(tau_m d) on its grid.
+    d = t_j - t_k, chi(d) = sum_m omega_m cos(tau_m d) on its grid, and the
+    nodes t_j are those of `lattice` (`nodes_1d` order), paired with a_j in
+    `axis`.
 
     For each tau, write A_0(c) = sum a_j e^{c t_j}, A_1(c) = sum a_j t_j e^{c t_j}
     and F(c) = A_1(c) A_0(-c) - A_0(c) A_1(-c), the pair sum of a a d e^{c d}.
@@ -529,20 +548,109 @@ def _rank8_pair_sum(axis, chi_grid, prec: int, height):
     the pair sum at tau is (F(pi + i tau) + F(pi - i tau)) / (2 pi).  With
     A_k(+-pi +- i tau) = sum (a t^k e^{+-pi t}) (cos(tau t) +- i sin(tau t)),
     that takes eight single-node sums per tau: O(n m) work instead of
-    O(n^2 m).  They are combined at prec plus the guard bits of |t| <= height.
+    O(n^2 m).
+
+    The sums run on integers.  Each of the four weight lists a t^k e^{+-pi t}
+    is scaled once to W-bit fixed point by its largest entry, W = prec plus
+    the guard bits of |t| <= height, and the phases e^{i tau t_j} are
+    tabulated as fixed-point integers (`_phase_table`), so the single-node
+    sums are exact integer dot products; only their eight values per tau
+    return to mpmath, which combines them at W bits.
     """
-    with mp.workprec(prec + _guard_bits(height)):
+    work = prec + _guard_bits(height)
+    # The p-th panel phase is a product of p tabulated factors, so it
+    # carries about p roundings of the table.
+    scale = work + lattice.panels.bit_length() + 8
+    residuals = _lattice_residuals(lattice, [t for t, _ in axis], scale)
+    taus = [to_fixed(tau._mpf_, scale) for tau, _ in chi_grid]
+    reach = max(map(abs, taus), default=0) * max(map(abs, residuals)) >> scale
+    if 4 * reach.bit_length() > 3 * scale:
+        # e^{i tau eps} is taken to third order in tau eps: the remainder
+        # (tau eps)^4 / 24 must stay below the table's unit.
+        raise QwlabError("an axis node lies too far off its panel lattice point")
+    with mp.workprec(work):
         up = [a * mp.exp(mp.pi * t) for t, a in axis]
         down = [a * mp.exp(-mp.pi * t) for t, a in axis]
         up_t = [b * t for (t, _), b in zip(axis, up)]
         down_t = [b * t for (t, _), b in zip(axis, down)]
+        weights = [_fixed_point(values, work) for values in (up_t, down, up, down_t)]
         acc = mp.mpc(0)
-        for tau, omega in chi_grid:
-            cos, sin = zip(*(mp.cos_sin(tau * t) for t, _ in axis))
+        for (tau, omega), tau_fixed in zip(chi_grid, taus):
+            cos, sin = _phase_table(lattice, tau, tau_fixed, residuals, scale)
+            (ut_c, ut_s), (d_c, d_s), (u_c, u_s), (dt_c, dt_s) = (
+                (_fixed_dot(w, cos, scale), _fixed_dot(w, sin, scale)) for w in weights)
             # (F(pi + i tau) + F(pi - i tau)) / 2: the cross terms of the
             # conjugate pairs cancel.
-            acc += omega * (mp.fdot(up_t, cos) * mp.fdot(down, cos)
-                            + mp.fdot(up_t, sin) * mp.fdot(down, sin)
-                            - mp.fdot(up, cos) * mp.fdot(down_t, cos)
-                            - mp.fdot(up, sin) * mp.fdot(down_t, sin))
+            acc += omega * (ut_c * d_c + ut_s * d_s - u_c * dt_c - u_s * dt_s)
         return acc / mp.pi
+
+
+def _lattice_residuals(lattice: PanelLattice, nodes, scale: int) -> list:
+    """eps_j = t_j - (origin + p step + offsets[l]) for node j = p r + l,
+    subtracted exactly and then rounded to fixed point at 2^-scale."""
+    offsets = lattice.offsets
+    if len(nodes) != lattice.panels * len(offsets):
+        raise QwlabError("the axis does not have one node per lattice point")
+    nodes = iter(nodes)
+    out = []
+    for p in range(lattice.panels):
+        base = mp.fadd(lattice.origin, mp.fmul(p, lattice.step, exact=True), exact=True)
+        for offset in offsets:
+            point = mp.fadd(base, offset, exact=True)
+            out.append(to_fixed(mp.fsub(next(nodes), point, exact=True)._mpf_, scale))
+    return out
+
+
+def _phase_table(lattice: PanelLattice, tau, tau_fixed: int, residuals, scale: int):
+    """cos(tau t_j) and sin(tau t_j) for every node, as integers at 2^-scale.
+
+    With t_j = origin + p step + offsets[l] + eps_j,
+
+        e^{i tau t_j} = e^{i tau origin} (e^{i tau step})^p e^{i tau offsets[l]} e^{i tau eps_j},
+
+    so each tau takes r + 2 trigonometric evaluations (r = GL_ORDER), and the
+    panel powers and products are fixed-point integer products.  The lattice
+    residual eps_j is a few units in the last place of t_j, so its factor is
+    1 + i tau eps - (tau eps)^2/2 - i (tau eps)^3/6; `_rank8_pair_sum` checks
+    that the remainder is below 2^-scale."""
+    def phase(x):
+        c, s = mpf_cos_sin(mpf_mul(tau._mpf_, x._mpf_), scale, "n")
+        return to_fixed(c, scale), to_fixed(s, scale)
+
+    zr, zi = phase(lattice.origin)
+    sr, si = phase(lattice.step)
+    offsets = [phase(o) for o in lattice.offsets]
+    one = 1 << scale
+    cos, sin = [], []
+    eps = iter(residuals)
+    for _ in range(lattice.panels):
+        for orr, oi in offsets:
+            er = (zr * orr - zi * oi) >> scale
+            ei = (zr * oi + zi * orr) >> scale
+            d = tau_fixed * next(eps) >> scale
+            d2 = d * d >> scale
+            rr = one - (d2 >> 1)
+            ri = d - (d2 * d >> scale) // 6
+            cos.append((er * rr - ei * ri) >> scale)
+            sin.append((er * ri + ei * rr) >> scale)
+        zr, zi = (zr * sr - zi * si) >> scale, (zr * si + zi * sr) >> scale
+    return cos, sin
+
+
+def _fixed_point(values, bits: int):
+    """Complex values as integer lists (re, im) times 2^-shift, the shift
+    chosen so that the largest real or imaginary part is below 2^bits."""
+    parts = [v._mpc_ for v in values]
+    top = max((exp + bc for part in parts for _, man, exp, bc in part if man), default=0)
+    shift = bits - top
+    return ([to_fixed(re, shift) for re, _ in parts],
+            [to_fixed(im, shift) for _, im in parts], shift)
+
+
+def _fixed_dot(weights, phases, scale: int):
+    """sum_j w_j phase_j as an mpc, from `_fixed_point` weights and phases
+    at 2^-scale."""
+    re, im, shift = weights
+    unit = -(shift + scale)
+    return mp.mpc(mp.mpf((sum(map(operator.mul, re, phases)), unit)),
+                  mp.mpf((sum(map(operator.mul, im, phases)), unit)))

@@ -9,7 +9,9 @@ unknown flag, an input outside a check's domain or an unwritable --out.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -35,12 +37,23 @@ def _ints(text: str) -> tuple:
     return tuple(int(v) for v in text.split(",") if v.strip() != "")
 
 
+def _float(text: str) -> float:
+    """float(text), with nan and inf reported as a usage error."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _floats(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(",") if v.strip() != "")
+    return tuple(_float(v) for v in text.split(",") if v.strip() != "")
 
 
 def _complexes(text: str) -> tuple:
-    return tuple(complex(v.replace(" ", "")) for v in text.split(",") if v.strip() != "")
+    values = tuple(complex(v.replace(" ", "")) for v in text.split(",") if v.strip() != "")
+    if not all(cmath.isfinite(v) for v in values):
+        raise ValueError(text)
+    return values
 
 
 def _rational(text: str) -> Fraction:
@@ -73,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         if prec_bits:
             p.add_argument("--prec-bits", type=int, default=None)
         if tolerance:
-            p.add_argument("--tolerance", type=float, default=None)
+            p.add_argument("--tolerance", type=_float, default=None)
 
     p = sub.add_parser("verify-noumi", help="eigenrelation of the q-integral operator, exact")
     common(p, seed=True)
@@ -101,17 +114,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, prec_bits=True, tolerance=True)
     p.add_argument("--kind", choices=("constant", "product-pole", "exp-cutoff"),
                    default="product-pole")
-    p.add_argument("--b", type=float, default=3.0)
-    p.add_argument("--c", type=float, default=0.3)
+    p.add_argument("--b", type=_float, default=3.0)
+    p.add_argument("--c", type=_float, default=0.3)
     p.add_argument("--w", type=_complexes, default=(-0.5j, 1 - 0.6j))
-    p.add_argument("--u", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--u", type=_float, default=1.0)
+    p.add_argument("--a", type=_float, default=1.0)
     p.add_argument("--truncation", type=int, default=40, help="residue shell cap")
 
     p = sub.add_parser("verify-stade", help="cutoff integral of two Whittaker functions vs Gamma product")
     common(p, tolerance=True)
     p.add_argument("--which", choices=("first", "second"), default="first")
-    p.add_argument("--u", type=float, default=1.0)
+    p.add_argument("--u", type=_float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=_complexes, default=(0.7,))
     p.add_argument("--nu", type=_complexes, default=(0.6,))
 
@@ -119,15 +132,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, tolerance=True)
     p.add_argument("--which", choices=("first", "second"), default="second")
     p.add_argument("--w", type=_complexes, default=(0.3 - 0.4j,))
-    p.add_argument("--u", type=float, default=1.0)
+    p.add_argument("--u", type=_float, default=1.0)
     p.add_argument("--x", type=_floats, default=(0.2,))
-    p.add_argument("--a-shift", type=float, default=None)
+    p.add_argument("--a-shift", type=_float, default=None)
 
     p = sub.add_parser("limit-exp", help="q-exponential factor limit ladder")
     common(p, prec_bits=True)
     p.add_argument("--eps-list", type=_floats, default=DEFAULT_EPS_LADDER)
-    p.add_argument("--u", type=float, default=1.0)
-    p.add_argument("--x-n", type=float, default=0.0)
+    p.add_argument("--u", type=_float, default=1.0)
+    p.add_argument("--x-n", type=_float, default=0.0)
 
     p = sub.add_parser("limit-terms", help="termwise operator factor limits")
     common(p, prec_bits=True)

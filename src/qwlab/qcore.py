@@ -154,8 +154,11 @@ def qpoch_infinite(a, q):
 
     mpmath stops after 50 factors per bit of precision, which (a;q)_infty
     outruns for |q| near 1 (q = e^-0.01 at 128 bits needs about 9000); the
-    product converges for every |q| < 1, so that cap is lifted.
+    product converges for every |q| < 1, so that cap is lifted.  Without the
+    cap a non-finite a or q would never stop, so both are rejected.
     """
+    if not (mp.isfinite(a) and mp.isfinite(q)):
+        raise DomainError("infinite q-Pochhammer needs finite a and q")
     if _float_abs(q) >= 1.0:
         raise DomainError("infinite q-Pochhammer needs |q| < 1")
     return mp.qp(a, q, maxterms=mp.inf)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import mpmath as mp
 
@@ -96,20 +96,45 @@ def gauss_legendre_rule(prec: int) -> tuple:
         return tuple(nodes)
 
 
-def nodes_1d(level: int, lo, hi, prec: int) -> tuple:
-    """Composite Gauss-Legendre nodes/weights on [lo, hi]: ceil(width / 3)
-    panels of GL_ORDER points, doubled at each refinement level."""
+@dataclass(frozen=True)
+class PanelLattice:
+    """The layout of `nodes_1d` on [lo, hi]: `panels` panels of width `step`,
+    each carrying the GL_ORDER-point `rule`.  Node l of panel p is the
+    lattice point origin + p step + offsets[l], rounded at the working
+    precision; origin = lo + step/2 is the first panel's midpoint and
+    offsets[l] = (step/2) x_l.  Both are exact binary values."""
+
+    lo: mp.mpf
+    step: mp.mpf
+    panels: int
+    rule: tuple
+
+    @cached_property
+    def origin(self) -> mp.mpf:
+        return mp.fadd(self.lo, self.step / 2, exact=True)
+
+    @cached_property
+    def offsets(self) -> tuple:
+        return tuple(mp.fmul(self.step / 2, x, exact=True) for x, _ in self.rule)
+
+
+def panel_lattice(level: int, lo, hi, prec: int) -> PanelLattice:
+    """ceil(width / 3) panels on [lo, hi], doubled at each refinement level."""
     lo, hi = mp.mpf(lo), mp.mpf(hi)
     width = hi - lo
     panels = max(1, int(mp.ceil(width / 3))) * 2**level
-    rule = gauss_legendre_rule(prec)
+    return PanelLattice(lo, width / panels, panels, gauss_legendre_rule(prec))
+
+
+def nodes_1d(level: int, lo, hi, prec: int) -> tuple:
+    """Composite Gauss-Legendre nodes/weights on the `panel_lattice` of
+    [lo, hi]."""
+    lattice = panel_lattice(level, lo, hi, prec)
+    half = lattice.step / 2
     out = []
-    step = width / panels
-    for p in range(panels):
-        a = lo + p * step
-        mid = a + step / 2
-        half = step / 2
-        for x, w in rule:
+    for p in range(lattice.panels):
+        mid = lattice.lo + p * lattice.step + half
+        for x, w in lattice.rule:
             out.append((mid + half * x, half * w))
     return tuple(out)
 

@@ -17,8 +17,8 @@ from qwlab.baxter import (
     residue_apply,
 )
 from qwlab.gamma import gamma_c
-from qwlab.qcore import DomainError
-from qwlab.quadrature import QuadratureConfig
+from qwlab.qcore import DomainError, QwlabError
+from qwlab.quadrature import QuadratureConfig, nodes_1d, panel_lattice
 from qwlab.whittaker import pair_coupling
 
 
@@ -278,30 +278,82 @@ def test_lemma_rejects_bad_input_before_the_residue_series(w, monkeypatch):
         lemma1_check(CutoffFunction("constant"), w, 1.0, 1.0)
 
 
+def _spectral_axis(prec, rng):
+    """A nodes_1d axis on a random interval and level, with its lattice,
+    random complex weights and a random chi grid."""
+    lo, hi = mp.mpf(rng.uniform(-3, 0)), mp.mpf(rng.uniform(0.5, 3))
+    level = rng.randrange(3)
+    lattice = panel_lattice(level, lo, hi, prec)
+    nodes = [t for t, _ in nodes_1d(level, lo, hi, prec)]
+    weights = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in nodes]
+    chi_grid = [(mp.mpf(rng.uniform(0, 4)), mp.mpf(rng.uniform(0, 1))) for _ in range(5)]
+    return lattice, nodes, weights, chi_grid, max(abs(lo), abs(hi))
+
+
 @pytest.mark.parametrize("prec", [64, 128])
 def test_spectral_pair_sum_matches_direct_pair_loop(prec):
     rng = random.Random(5)
-    height = 3.0
     with mp.workprec(prec):
-        axis = [(mp.mpf(rng.uniform(-height, height)),
-                 mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(12)]
-        chi_grid = [(mp.mpf(rng.uniform(0, 4)), mp.mpf(rng.uniform(0, 1)))
-                    for _ in range(5)]
-        separable = _rank8_pair_sum(axis, chi_grid, prec, height)
-    with mp.workprec(prec + 60):
-        direct = mp.mpc(0)
-        for j in range(len(axis)):
-            for k in range(j + 1, len(axis)):
-                (tj, aj), (tk, ak) = axis[j], axis[k]
-                d = tj - tk
-                chi = mp.fsum(omega * mp.cos(tau * d) for tau, omega in chi_grid)
-                direct += 2 * aj * ak * (d * mp.sinh(mp.pi * d) / mp.pi) * chi
-        assert abs(separable - direct) < mp.mpf(2) ** -prec * abs(direct)
+        lattice, nodes, weights, chi_grid, height = _spectral_axis(prec, rng)
+        # The same nodes, each moved a few units in its last place off the
+        # lattice point it was rounded from.
+        nudged = [t + rng.randint(-4, 4) * mp.mpf(2) ** (mp.mag(t) - prec) for t in nodes]
+    assert nudged != nodes
+    for axis_nodes in (nodes, nudged):
+        axis = list(zip(axis_nodes, weights))
+        with mp.workprec(prec):
+            separable = _rank8_pair_sum(lattice, axis, chi_grid, prec, height)
+        with mp.workprec(prec + 60):
+            direct = mp.mpc(0)
+            for j in range(len(axis)):
+                for k in range(j + 1, len(axis)):
+                    (tj, aj), (tk, ak) = axis[j], axis[k]
+                    d = tj - tk
+                    chi = mp.fsum(omega * mp.cos(tau * d) for tau, omega in chi_grid)
+                    direct += 2 * aj * ak * (d * mp.sinh(mp.pi * d) / mp.pi) * chi
+            assert abs(separable - direct) < mp.mpf(2) ** -prec * abs(direct)
+
+
+def test_spectral_pair_sum_rejects_an_axis_off_its_lattice():
+    prec = 64
+    with mp.workprec(prec):
+        lattice, nodes, weights, chi_grid, height = _spectral_axis(prec, random.Random(6))
+        moved = [nodes[0] + mp.mpf("1e-6")] + nodes[1:]
+        for axis_nodes in (moved, nodes[:-1]):
+            with pytest.raises(QwlabError, match="lattice"):
+                _rank8_pair_sum(lattice, list(zip(axis_nodes, weights)), chi_grid, prec,
+                                height)
+
+
+# (rhs, quad_error) of criterion 6's inputs at each line height, as the
+# floating-point pair sum (one cos_sin per node pair, mpmath dot products)
+# gave them; the integer rank-8 kernel reproduces them bit for bit.  At
+# x = (0.3, -0.3) both displays give the same values.
+PAIR_INTEGRAL_BITS = {
+    1.1: (((0, 2050075979587452939, -64, 61), (1, 16829435291531473791, -73, 64)),
+          (0, 14206690659693696633, -84, 64)),
+    2.0: (((0, 16400608682022176641, -67, 64), (1, 8414736648582191003, -72, 63)),
+          (0, 8131955459039320269, -98, 63)),
+}
 
 
 def test_eigen_pair_shift_independence():
     w = (mp.mpc(0.2, -0.5), mp.mpc(-0.1, -0.6))
-    r1 = baxter_eigen_check(w, 1.0, (0.3, -0.3), "second", tolerance=1e-3, a_shift=1.1)
-    r2 = baxter_eigen_check(w, 1.0, (0.3, -0.3), "second", tolerance=1e-3, a_shift=2.0)
+    reports = {(which, a_shift): baxter_eigen_check(w, 1.0, (0.3, -0.3), which,
+                                                    tolerance=1e-3, a_shift=a_shift)
+               for which in ("second", "first") for a_shift in (1.1, 2.0)}
+    r1, r2 = reports["second", 1.1], reports["second", 2.0]
     assert r1.passed and r2.passed
     assert abs(r1.rhs - r2.rhs) < mp.mpf("1e-6") * abs(r1.rhs)
+    for (which, a_shift), rep in reports.items():
+        rhs, quad_error = PAIR_INTEGRAL_BITS[a_shift]
+        assert rep.rhs._mpc_ == rhs, (which, a_shift)
+        assert rep.diagnostics["quad_error"]._mpf_ == quad_error, (which, a_shift)
+
+
+def test_eigen_rejects_non_finite_input():
+    w = (mp.mpc(0.2, -0.5), mp.mpc(-0.1, -0.6))
+    for kwargs in ({"u": mp.nan}, {"a_shift": mp.inf}, {"x": (0.3, mp.nan)},
+                   {"w": (w[0], mp.mpc(mp.inf, -0.6))}):
+        with pytest.raises(DomainError, match="finite"):
+            baxter_eigen_check(**{"w": w, "u": 1.0, "x": (0.3, -0.3), **kwargs})

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,10 +49,37 @@ def test_seed_changes_samples(capsys):
     assert a != b
 
 
+N2_BAXTER = ["--w", "0.2-0.5j,-0.1-0.6j", "--x", "0.3,-0.3"]
+
+
 def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        run(["no-such-command"])
-    assert exc.value.code == 2
+    for argv in (["no-such-command"],
+                 ["verify-baxter", "--x", "inf"],
+                 ["eval-whittaker", "--x", "nan,-0.3"],
+                 ["verify-stade", "--u", "nan"],
+                 ["verify-lemma1", "--u", "nan"],
+                 ["verify-lemma1", "--b", "inf"],
+                 ["verify-baxter", "--u", "nan", *N2_BAXTER],
+                 ["verify-baxter", "--a-shift", "inf", *N2_BAXTER],
+                 ["verify-baxter", "--w", "nan-0.4j"],
+                 ["verify-gamma-identity", "--tolerance", "nan"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+
+
+def test_non_finite_limit_argument_exits_2_promptly():
+    # A non-finite u once ran (a;q)_infinity forever; a subprocess lets a
+    # hang fail this test instead of stalling the run.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-m", "qwlab.cli", "limit-exp", "--eps-list", "0.4,0.2",
+         "--u", "nan", "--x-n", "0"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert "argument --u: invalid" in done.stderr
 
 
 def test_domain_error_reports_exit_2(capsys):

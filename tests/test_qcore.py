@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import mpmath as mp
@@ -49,6 +50,28 @@ def test_qpoch_infinite_exact_zero_factor():
 def test_qpoch_infinite_rejects_q_outside_disc():
     with pytest.raises(DomainError):
         qpoch_infinite(F(1, 2), F(3, 2))
+
+
+@pytest.fixture
+def deadline():
+    """Turn a call that never returns into a failure after 30 s."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("a, q", [(mp.nan, 0.5), (0.5, mp.nan), (mp.inf, 0.5),
+                                  (0.5, mp.mpc(mp.nan, 0))],
+                         ids=["a-nan", "q-nan", "a-inf", "q-complex-nan"])
+def test_qpoch_infinite_rejects_non_finite_input(a, q, deadline):
+    # Without its term cap mp.qp never returns on these.
+    with pytest.raises(DomainError):
+        qpoch_infinite(a, q)
 
 
 def test_qpoch_infinite_matches_finite_head():
