@@ -177,7 +177,12 @@ def _ladder_flags(errors) -> tuple:
 def eq_exp_limit_check(eps_list=DEFAULT_EPS_LADDER, u=1.0, x_n=0.0,
                        prec_bits: int = 128) -> VerificationReport:
     """1/(zeta q^{lam_N}; q)_inf against e^{-u e^{-x_N}} along the ladder
-    (N = 1 scaling: lam = round(x_N / eps), zeta = -u eps)."""
+    (N = 1 scaling: lam = round(x_N / eps), zeta = -u eps).
+
+    Passes when the error falls strictly along the ladder and the last
+    rung's relative error is at most its epsilon: the limit is first order
+    in epsilon, so a falling error that is still far from the target fails.
+    """
     eps_list = _check_ladder(eps_list)
     with set_precision(prec_bits):
         target = mp.exp(-mp.mpf(u) * mp.exp(-mp.mpf(x_n)))
@@ -193,15 +198,16 @@ def eq_exp_limit_check(eps_list=DEFAULT_EPS_LADDER, u=1.0, x_n=0.0,
             errors.append(err)
             rows.append({"epsilon": eps_f, "value": val, "abs_err": err})
         strict, halved = _ladder_flags(errors)
+    rel_err = errors[-1] / abs(target)
     return VerificationReport(
         check_id="eq-exponential-limit",
         params={"u": u, "x_n": x_n, "eps_list": list(eps_list)},
         lhs=rows[-1]["value"],
         rhs=target,
         abs_err=errors[-1],
-        rel_err=errors[-1] / abs(target),
+        rel_err=rel_err,
         tolerance="strictly decreasing error ladder",
-        passed=strict,
+        passed=strict and rel_err <= eps_list[-1],
         diagnostics={"rows": rows, "halved": halved},
     )
 

@@ -130,9 +130,26 @@ def compositions_of_weight(k: int, n: int) -> Iterator[tuple]:
 
 
 def qpoch_finite(a, q, n: int):
-    """(a;q)_n = prod_{k=0}^{n-1} (1 - a q^k); exact when the inputs are."""
+    """(a;q)_n = prod_{k=0}^{n-1} (1 - a q^k); exact when the inputs are.
+
+    When a = A/B and q = C/D are exact rationals the product runs on
+    integers, (a;q)_n = prod_k (B D^k - A C^k) / (B^n D^{n(n-1)/2}), and an
+    int comes back when both are ints.  Other scalars (mpf, mpc, float)
+    multiply the factors in their own arithmetic.
+    """
     if n < 0:
         raise DomainError("finite q-Pochhammer needs n >= 0")
+    if isinstance(a, (int, Fraction)) and isinstance(q, (int, Fraction)):
+        A, B, C, D = a.numerator, a.denominator, q.numerator, q.denominator
+        num = 1
+        ck = dk = 1
+        for _ in range(n):
+            num *= B * dk - A * ck
+            ck *= C
+            dk *= D
+        if isinstance(a, Fraction) or isinstance(q, Fraction):
+            return Fraction(num, B**n * D ** (n * (n - 1) // 2))
+        return num
     one = a * 0 + q * 0 + 1
     prod = one
     aqk = a

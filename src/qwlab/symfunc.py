@@ -16,17 +16,21 @@ test suite.  Points, parameters and coefficients must be exact rationals
 (int or Fraction); anything else raises DomainError.  The hot arithmetic
 runs on integers and builds one Fraction per result: a monomial is summed
 as prod_i a_i^alpha_i b_i^(d - alpha_i) over its exponent vectors at
-z_i = a_i/b_i, and the linear solve is Bareiss fraction-free elimination.
+z_i = a_i/b_i, the linear solve is Bareiss fraction-free elimination, and
+each Gram entry is one integer dot product of (q,t)-free products, built
+once per degree, with the power-sum norms over one common denominator.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .qcore import DomainError, QwlabError, rational_parts
 from .sampling import distinct_rationals
@@ -321,34 +325,59 @@ def monomial_to_power(n: int):
     return parts, A
 
 
-def _power_norm(mu, q: Fraction, t: Fraction) -> Fraction:
-    """<p_mu, p_mu> = z_mu prod_i (1 - q^{mu_i}) / (1 - t^{mu_i})."""
-    val = Fraction(zsym(mu))
-    for part in mu:
-        denom = 1 - Fraction(t) ** part
-        if denom == 0:
-            raise SingularMatrixError(f"inner product degenerate at t^{part} = 1")
-        val *= (1 - Fraction(q) ** part) / denom
-    return val
+@lru_cache(maxsize=None)
+def _gram_products(n: int):
+    """The (q,t)-free half of the Gram matrix at degree n.
 
-
-def monomial_gram(n: int, q: Fraction, t: Fraction):
-    """Gram matrix <m_a, m_b> at degree n under the (q,t) inner product."""
+    With A = monomial_to_power(n) written over its common denominator L,
+    returns (parts, L^2, table): table[(a, b)] lists A[a][mu] A[b][mu] L^2
+    as integers for every mu in parts, for each pair with a at or before b.
+    """
     parts, A = monomial_to_power(n)
-    norms = {mu: _power_norm(mu, q, t) for mu in parts}
+    L = math.lcm(*(c.denominator for row in A.values() for c in row.values()))
+    scaled = {lam: [int(A[lam].get(mu, 0) * L) for mu in parts] for lam in parts}
+    table = {}
+    for i, a in enumerate(parts):
+        for b in parts[i:]:
+            table[(a, b)] = tuple(x * y for x, y in zip(scaled[a], scaled[b]))
+    return parts, L * L, table
+
+
+def _power_norm(mu, g: int, h: int, c: int, e: int) -> tuple:
+    """<p_mu, p_mu> = z_mu prod_i (1 - q^{mu_i}) / (1 - t^{mu_i}) at q = g/h
+    and t = c/e, as an integer numerator and denominator:
+    z_mu prod_p (h^p - g^p) e^p / (h^p (e^p - c^p)) over the parts p of mu."""
+    num, den = zsym(mu), 1
+    for part in mu:
+        ep, cp = e**part, c**part
+        if ep == cp:
+            raise SingularMatrixError(f"inner product degenerate at t^{part} = 1")
+        hp = h**part
+        num *= (hp - g**part) * ep
+        den *= hp * (ep - cp)
+    return num, den
+
+
+@lru_cache(maxsize=8)
+def monomial_gram(n: int, q, t):
+    """Gram matrix <m_a, m_b> at degree n under the (q,t) inner product, for
+    exact rational q and t, as a read-only mapping (a, b) -> Fraction.
+
+    <m_a, m_b> = sum_mu A[a][mu] A[b][mu] <p_mu, p_mu>: each entry is one
+    integer dot product of the per-degree products (_gram_products) with the
+    power-sum norms over their common denominator, and one Fraction.  The
+    last few (n, q, t) are memoised, so the checks of one case share a build.
+    """
+    parts, scale, products = _gram_products(n)
+    (g, c), (h, e) = rational_parts((q, t))
+    norms = [_power_norm(mu, g, h, c, e) for mu in parts]
+    common = math.lcm(*(den for _, den in norms))
+    weights = [num * (common // den) for num, den in norms]
+    common *= scale
     gram = {}
-    for a in parts:
-        for b in parts:
-            if (b, a) in gram:
-                gram[(a, b)] = gram[(b, a)]
-                continue
-            acc = Fraction(0)
-            for mu, ca in A[a].items():
-                cb = A[b].get(mu)
-                if cb is not None:
-                    acc += ca * cb * norms[mu]
-            gram[(a, b)] = acc
-    return parts, gram
+    for (a, b), row in products.items():
+        gram[(a, b)] = gram[(b, a)] = Fraction(sum(map(operator.mul, row, weights)), common)
+    return parts, MappingProxyType(gram)
 
 
 # ---------------------------------------------------------------------------
@@ -383,25 +412,6 @@ def macdonald_gram_schmidt(lam, q, t, nvars: int | None = None) -> SymmetricPoly
             coeffs[mu] = c
     terms = {mu: c for mu, c in coeffs.items() if len(mu) <= nvars}
     return SymmetricPolynomial(terms, nvars)
-
-
-def inner_product(f: SymmetricPolynomial, g: SymmetricPolynomial,
-                  q, t) -> Fraction:
-    """(q,t) inner product of two homogeneous symmetric polynomials."""
-    if f.nvars != g.nvars:
-        raise DomainError("inner product needs a common number of variables")
-    degs = {weight(mu) for mu in f.terms} | {weight(mu) for mu in g.terms}
-    if len(degs) > 1:
-        raise DomainError("inner product needs homogeneous inputs")
-    if not degs:
-        return Fraction(0)
-    n = degs.pop()
-    _, gram = monomial_gram(n, Fraction(q), Fraction(t))
-    acc = Fraction(0)
-    for a, ca in f.terms.items():
-        for b, cb in g.terms.items():
-            acc += ca * cb * gram[(a, b)]
-    return acc
 
 
 # ---------------------------------------------------------------------------

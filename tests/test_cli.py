@@ -148,6 +148,15 @@ def test_limit_exp(capsys):
     assert json.loads(out.strip())["check_id"] == "eq-exponential-limit"
 
 
+@pytest.mark.parametrize("u", ["30", "1e300"])
+def test_limit_exp_far_from_target_fails(u, capsys):
+    # The error still falls along the ladder, but the last rung is far off.
+    code = run(["limit-exp", "--eps-list", "0.4,0.2", "--u", u])
+    out, _ = _capture(capsys)
+    assert code == 1
+    assert json.loads(out.strip())["pass"] is False
+
+
 def test_limit_sweep_csv(tmp_path, capsys):
     path = tmp_path / "sweep.csv"
     code = run(["limit-sweep", "--eps-list", "0.4,0.2,0.1", "--x", "0.3",

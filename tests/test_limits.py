@@ -89,6 +89,18 @@ def test_eq_exp_large_x_trivializes():
     assert max(row["abs_err"] for row in rep.diagnostics["rows"]) < mp.mpf("1e-11")
 
 
+def test_eq_exp_last_rung_must_be_within_epsilon():
+    # u = 30: the error falls from rung to rung, but the last rung is
+    # 7.8e5 relative to e^{-30}; the first-order limit allows 0.2.
+    rep = eq_exp_limit_check((0.4, 0.2), 30.0, 0.0)
+    errs = [row["abs_err"] for row in rep.diagnostics["rows"]]
+    assert errs[1] < errs[0]
+    assert rep.rel_err > 1e5
+    assert not rep.passed
+    for ladder, u, x_n in (((0.4, 0.2), 1e-12, 0.0), ((0.4, 0.2), 1.0, 30.0)):
+        assert eq_exp_limit_check(ladder, u, x_n).passed
+
+
 def test_eq_exp_requires_decreasing_ladder():
     with pytest.raises(DomainError):
         eq_exp_limit_check((0.1, 0.2), 1.0, 0.0)

@@ -38,6 +38,58 @@ def test_qpoch_finite_splits(a, q, m, n):
     assert lhs == rhs
 
 
+def qpoch_generic(a, q, n):
+    """(a;q)_n multiplied factor by factor in the inputs' own arithmetic,
+    a q^k by repeated multiplication, as qpoch_finite does for mpmath."""
+    one = a * 0 + q * 0 + 1
+    prod = one
+    aqk = a
+    for _ in range(n):
+        prod = prod * (one - aqk)
+        aqk = aqk * q
+    return prod
+
+
+EXACT_POCH_ARGS = [(F(2, 3), F(1, 5)), (F(-7, 4), F(3, 2)), (3, F(-2, 9)), (F(5, 6), -2),
+                   (-4, 3), (2, 0), (0, F(1, 2)), (F(-1, 3), F(-1, 3))]
+
+
+@pytest.mark.parametrize("a, q", EXACT_POCH_ARGS, ids=str)
+def test_qpoch_finite_exact_matches_generic_product(a, q):
+    for n in range(8):
+        got = qpoch_finite(a, q, n)
+        assert got == qpoch_generic(a, q, n), n
+        # Two ints give an int; a Fraction anywhere gives a Fraction.
+        assert type(got) is type(a * 0 + q * 0 + 1)
+
+
+def test_qpoch_finite_vanishing_factor():
+    assert qpoch_finite(F(4), F(1, 2), 3) == 0  # 1 - 4 q^2 = 0
+    assert qpoch_finite(F(4), F(1, 2), 2) == 3  # (1 - 4)(1 - 2)
+    assert qpoch_finite(F(1, 9), 3, 5) == 0  # 1 - q^2 / 9 = 0
+    zero = qpoch_finite(1, 5, 4)
+    assert zero == 0 and type(zero) is int
+
+
+def test_qpoch_finite_mpmath_inputs_keep_their_bits():
+    with set_precision(96):
+        cases = [(mp.mpf("0.3"), mp.mpf("0.7")), (mp.mpc("0.2", "-0.9"), mp.mpf("0.95")),
+                 (mp.mpf("-1.5"), mp.mpc("0.1", "0.4"))]
+        for a, q in cases:
+            for n in range(8):
+                expect = qpoch_generic(a, q, n)
+                got = qpoch_finite(a, q, n)
+                assert type(got) is type(expect)
+                assert got == expect, (a, q, n)
+
+
+@pytest.mark.parametrize("a, q", [(F(1, 2), F(1, 3)), (2, 3), (mp.mpf("0.5"), mp.mpf("0.5"))],
+                         ids=str)
+def test_qpoch_finite_rejects_negative_length(a, q):
+    with pytest.raises(DomainError):
+        qpoch_finite(a, q, -1)
+
+
 def test_qpoch_infinite_zero_argument():
     assert qpoch_infinite(F(0), F(1, 2)) == 1
 

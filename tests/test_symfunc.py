@@ -4,18 +4,20 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from oracles import inner_product, monomial_gram_fraction
 
 from qwlab.qcore import DomainError
 from qwlab.sampling import distinct_rationals, unit_interval_rational
 from qwlab.symfunc import (
+    MAX_DEGREE,
     DegenerateEigenvalueError,
     SingularMatrixError,
     SymmetricPolynomial,
     dominance_leq,
     eval_symmetric,
-    inner_product,
     macdonald_gram_schmidt,
     macdonald_triangular_eigen,
+    monomial_gram,
     monomial_value,
     partitions_of,
     power_to_monomial,
@@ -184,6 +186,59 @@ def test_gram_degenerate_t_rejected():
     # t = 1 zeroes the power-sum norms' denominators.
     with pytest.raises(SingularMatrixError):
         macdonald_gram_schmidt((2,), Q, F(1))
+
+
+# (q, t) for the Gram checks: generic, t = 0, t = q, and parameters that are
+# negative, above 1 or integers.
+GRAM_PARAMS = [(Q, T), (F(2, 7), F(0)), (F(3, 5), F(3, 5)), (F(-4, 3), F(7, 2)),
+               (2, -3), (F(0), F(-1, 9))]
+
+
+@pytest.mark.parametrize("q, t", GRAM_PARAMS, ids=str)
+def test_integer_gram_matches_fraction_oracle(q, t):
+    for n in range(MAX_DEGREE + 1):
+        parts, gram = monomial_gram(n, q, t)
+        oracle_parts, oracle = monomial_gram_fraction(n, q, t)
+        assert parts == oracle_parts
+        assert dict(gram) == oracle, n
+        assert all(isinstance(v, F) for v in gram.values())
+
+
+def test_gram_memo_is_keyed_on_q_and_t():
+    # Interleaved parameters, each pair repeated after others: every call
+    # must return its own matrix, and a repeat the memoised one.
+    calls = [(Q, T), (T, Q), (Q, F(0)), (Q, T), (Q, Q), (T, Q), (Q, F(0))]
+    first = {}
+    for q, t in calls:
+        got = monomial_gram(4, q, t)
+        assert dict(got[1]) == monomial_gram_fraction(4, q, t)[1], (q, t)
+        assert first.setdefault((q, t), got) is got
+    assert monomial_gram(4, Q, T)[1] != monomial_gram(5, Q, T)[1]
+
+
+def test_gram_is_read_only():
+    parts, gram = monomial_gram(3, Q, T)
+    key = (parts[0], parts[0])
+    before = gram[key]
+    with pytest.raises(TypeError):
+        gram[key] = F(0)
+    with pytest.raises(TypeError):
+        del gram[key]
+    assert monomial_gram(3, Q, T)[1][key] == before
+
+
+def test_gram_memo_is_bounded():
+    # A long suite run must not grow the memo without limit.
+    maxsize = monomial_gram.cache_info().maxsize
+    assert maxsize is not None and 1 <= maxsize <= 64
+
+
+def test_gram_degenerate_t_names_the_part():
+    # t = -1 leaves the odd parts alone and zeroes 1 - t^2.
+    assert dict(monomial_gram(1, Q, F(-1))[1]) == monomial_gram_fraction(1, Q, F(-1))[1]
+    for n in (2, 3):
+        with pytest.raises(SingularMatrixError, match=r"t\^2 = 1"):
+            monomial_gram(n, Q, F(-1))
 
 
 def test_restriction_drops_long_partitions():
