@@ -38,11 +38,8 @@ from .quadrature import (
     QuadratureConfig,
     QuadratureError,
     integrate_1d,
-    integrate_nd,
 )
 from .whittaker import (
-    GiventalPattern,
-    givental_action,
     pair_profile,
     sklyanin_m,
     stade_check,
@@ -59,7 +56,6 @@ from .baxter import (
 )
 from .limits import (
     ScalingPoint,
-    a_eps_corrected,
     convergence_sweep,
     eq_exp_limit_check,
     scaled_qwhittaker,

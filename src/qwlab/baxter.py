@@ -45,6 +45,14 @@ det B, whose column l grows like e^{pi |2l-N+1| H}, and by e^{2 pi H} for
 the rank-8 sum.  Each is combined at that many guard bits (log2 e per unit
 of exponent) above the working precision; for the rank-8 sum that is the
 width W of its fixed-point weights.
+
+Spectral form.  The eigenrelation's right side integrates, along the lines
+R + i a_shift, the display-free factor e^{i xi log u} prod_j Gamma(-i xi - i w_j)
+times the Whittaker phase e^{-+i xi x} of the `second` or `first` display.
+The two displays differ only in that phase, so `_spectral_axis` tabulates
+the factor once per refinement level on the `nodes_1d` axis, memoised on
+(w, log u, a_shift, T, level, node precision, working precision), and both
+displays of a pair read one table: the second evaluates no Gamma function.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath as mp
 from mpmath.libmp import mpf_cos_sin, mpf_mul, to_fixed
@@ -63,7 +72,6 @@ from .quadrature import (
     QuadratureConfig,
     QuadResult,
     gauss_legendre_rule,
-    integrate_1d,
     nodes_1d,
     panel_lattice,
     refine,
@@ -135,10 +143,12 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
     needed; the error field carries the magnitude of the last two shells.
     """
     w = tuple(mp.mpc(v) for v in w)
+    u = mp.mpc(u)
+    if not all(mp.isfinite(v) for v in (u, *w)):
+        raise DomainError("u and w must be finite")
     n = len(w)
     if cap < 0:
         raise DomainError("cap must be >= 0")
-    u = mp.mpc(u)
     # Treat anything within working roundoff of a pole as the pole itself.
     near_zero = mp.mpf(2) ** (-mp.mp.prec // 2)
     # ratio_tab[i][j][m] = Gamma(1 + i d_ij) / Gamma(1 + m + i d_ij)
@@ -245,10 +255,12 @@ def contour_apply(f: TestFunction, w, u, a: float,
     if not isinstance(f, TestFunction):
         raise DomainError("the contour form needs a product TestFunction")
     w = tuple(mp.mpc(v) for v in w)
+    u = mp.mpf(u)
+    if not all(mp.isfinite(v) for v in (u, a, *w)):
+        raise DomainError("u, a and w must be finite")
     n = len(w)
     if not 1 <= n <= 3:
         raise DomainError("contour form implemented for N in {1, 2, 3}")
-    u = mp.mpf(u)
     if u <= 0:
         raise DomainError("u must be positive")
     _check_contour_regime(w, a)
@@ -427,6 +439,11 @@ def baxter_eigen_check(w, u, x, which: str = "second",
     large |delta| sinh(pi delta) amplifies it, and more so the higher the
     line (relative error 8e-4 at a_shift = 3 on criterion 6's inputs).
     The relative tolerance defaults to 1e-6 at N = 1 and 1e-3 at N = 2.
+
+    Both displays integrate the same Gamma product on the spectral line; it
+    is read from the memoised `_spectral_axis` table of each refinement
+    level, so the second display of a pair, on the same (w, u, a_shift,
+    cfg), evaluates no Gamma function.
     """
     if which not in ("first", "second"):
         raise DomainError("which must be 'first' or 'second'")
@@ -470,13 +487,21 @@ def baxter_eigen_check(w, u, x, which: str = "second",
         if n == 1:
             T = max(30.0, 2 * (-math.log(cfg.target_rel_error * 1e-2)) / math.pi
                     + abs(float(mp.re(w[0]))) + abs(float(x[0])))
+            work = cfg.integrand_prec()
 
-            def integrand(t):
-                xi = t + 1j * a_shift
-                val = mp.exp(1j * xi * log_u) * gamma_c(-1j * xi - 1j * w[0])
-                return val * mp.exp(sign * 1j * xi * x[0])
+            def value_at(level):
+                # integrate_1d's sum, with the integrand's display-free factor
+                # read from the shared table.
+                total = mp.mpf(0)
+                table = _spectral_axis(w, log_u, a_shift, T, level, prec, work)
+                for (t, wt), h in zip(nodes_1d(level, -T, T, prec), table):
+                    xi = t + 1j * a_shift
+                    total = total + wt * (h * mp.exp(sign * 1j * xi * x[0]))
+                return total
 
-            quad = integrate_1d(integrand, -T, T, cfg)
+            with mp.workprec(work):
+                quad = refine(value_at, range(cfg.max_depth), cfg,
+                              f"1-d quadrature on [{-T}, {T}]")
             rhs = uw * quad.value / (2 * mp.pi)
             diag = {"quad_error": quad.error, "T": T, "a_shift": a_shift}
         else:
@@ -489,6 +514,30 @@ def baxter_eigen_check(w, u, x, which: str = "second",
         tolerance=tolerance,
         diagnostics=diag,
     )
+
+
+@lru_cache(maxsize=8)
+def _spectral_axis(w, log_u, a_shift, T, level: int, prec: int, work: int) -> tuple:
+    """The display-free factor of the spectral integrand,
+
+        h(t) = e^{i xi log u} (Gamma(-i xi - i w_1) ... Gamma(-i xi - i w_N)),
+        xi = t + i a_shift,
+
+    at each node t of nodes_1d(level, -T, T, prec), evaluated at `work` bits,
+    the precision of the caller's sum.  The two displays differ only in the
+    Whittaker phase e^{-+i xi x} they multiply it by, so a pair reads one
+    table.  Memoised on every argument, `work` included; the 8 entries hold
+    every refinement level of one pair.  Only the factors are kept: the
+    caller walks the same nodes_1d list beside them."""
+    with mp.workprec(work):
+        out = []
+        for t, _ in nodes_1d(level, -T, T, prec):
+            xi = t + 1j * a_shift
+            gammas = gamma_c(-1j * xi - 1j * w[0])
+            for wj in w[1:]:
+                gammas = gammas * gamma_c(-1j * xi - 1j * wj)
+            out.append(mp.exp(1j * xi * log_u) * gammas)
+        return tuple(out)
 
 
 def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: int):
@@ -519,15 +568,11 @@ def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: i
             t = mid + node * step / 2
             tg.append((t, wt * step / 2 * 2 * mp.exp(-z * mp.cosh(t))))
 
-    def g(t):
-        xi = t + 1j * a_shift
-        val = mp.exp(1j * xi * log_u)
-        val *= gamma_c(-1j * xi - 1j * w[0]) * gamma_c(-1j * xi - 1j * w[1])
-        # phase from psi_{sign * xi}: e^{sign * i xi sigma} per coordinate
-        return val * mp.exp(sign * 1j * xi * sigma)
-
     def value_at(level):
-        axis = [(t, wt * g(t)) for t, wt in nodes_1d(level, -T, T, prec)]
+        table = _spectral_axis(w, log_u, a_shift, T, level, prec, prec)
+        # phase from psi_{sign * xi}: e^{sign * i xi sigma} per coordinate
+        axis = [(t, wt * (h * mp.exp(sign * 1j * (t + 1j * a_shift) * sigma)))
+                for (t, wt), h in zip(nodes_1d(level, -T, T, prec), table)]
         lattice = panel_lattice(level, -T, T, prec)
         return uw * _rank8_pair_sum(lattice, axis, tg, prec, T) / ((2 * mp.pi) ** 2 * 2)
 

@@ -20,7 +20,8 @@ eps.  Via the eta-product asymptotic
     log (q;q)_inf = -pi^2/(6 eps) - (1/2) log(eps / (2 pi)) + O(eps)
 
 the prefactor is asymptotically eps^{N(N-1)/2} e^{N(N-1)/2 * A~(eps)} with
-A~ the right-hand side above (`a_eps_corrected`).  A variant with an
+A~ the right-hand side above (`tests/oracles.py` keeps it as
+`a_eps_corrected`, checked against the Euler product).  A variant with an
 eps^{-1} coefficient on the log term grows too fast by
 exp(Theta(log^2(1/eps)/eps)) when used as the exponent, and gives no
 convergent scaling.
@@ -85,14 +86,6 @@ class ScaledImage:
     lam_raw: tuple
     z: tuple
     zeta: mp.mpf
-
-
-def a_eps_corrected(epsilon) -> mp.mpf:
-    """log (q;q)_inf asymptotic: -(pi^2/6)/eps - log(eps/(2 pi))/2."""
-    eps = mp.mpf(epsilon)
-    if not 0 < eps < 1:
-        raise DomainError("epsilon must lie in (0, 1)")
-    return -mp.pi**2 / (6 * eps) - mp.log(eps / (2 * mp.pi)) / 2
 
 
 def scaling_map(p: ScalingPoint) -> ScaledImage:

@@ -2,8 +2,9 @@
 
 The one rule is composite Gauss-Legendre: fixed-order panels, refined by
 doubling the panel count.  Every lab integrand is smooth on its truncated
-box, and the tests anchor the rule against closed forms.  Multi-dimensional
-integrals are tensor products of the same node sets.
+box, and the tests anchor the rule against closed forms.  The lab's
+multi-dimensional sums (the N = 3 pattern sum, the contour and spectral
+sums) are built on the same node sets.
 
 `refine` is the one place the stopping rule lives: refinement stops when
 two successive levels agree to the target relative error, and the last
@@ -171,29 +172,3 @@ def integrate_1d(f, lo, hi, cfg: QuadratureConfig) -> QuadResult:
 
     with mp.workprec(cfg.integrand_prec()):
         return refine(value_at, range(cfg.max_depth), cfg, label)
-
-
-def integrate_nd(f, boxes, cfg: QuadratureConfig) -> QuadResult:
-    """Adaptive tensor-product integral over a list of [lo, hi] boxes."""
-    if len(boxes) == 1:
-        return integrate_1d(lambda x: f((x,)), boxes[0][0], boxes[0][1], cfg)
-    prec = cfg.working_prec()
-
-    def value_at(level):
-        axes = [nodes_1d(level, lo, hi, prec) for lo, hi in boxes]
-        return _tensor_sum(f, axes, ())
-
-    with mp.workprec(cfg.integrand_prec()):
-        return refine(value_at, range(cfg.max_depth), cfg,
-                      f"{len(boxes)}-d quadrature")
-
-
-def _tensor_sum(f, axes, prefix):
-    total = mp.mpf(0)
-    if len(axes) == 1:
-        for x, w in axes[0]:
-            total = total + w * f(prefix + (x,))
-        return total
-    for x, w in axes[0]:
-        total = total + w * _tensor_sum(f, axes[1:], prefix + (x,))
-    return total

@@ -23,7 +23,7 @@ its profiles from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -39,39 +39,6 @@ from .quadrature import (
 from .report import VerificationReport, comparison_report
 
 MAX_WHITTAKER_N = 3
-
-
-@dataclass(frozen=True)
-class GiventalPattern:
-    """Triangular array; rows[k] has k+1 entries and rows[-1] is the top row."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        for k, row in enumerate(rows):
-            if len(row) != k + 1:
-                raise DomainError(f"row {k + 1} must have {k + 1} entries")
-
-
-def givental_action(lam, pattern: GiventalPattern):
-    """The exponent F_lam(X) of the Givental integrand."""
-    rows = pattern.rows
-    n = len(rows)
-    if len(lam) != n:
-        raise DomainError("need one spectral parameter per row")
-    total = mp.mpc(0)
-    prev_sum = mp.mpf(0)
-    for k in range(n):
-        row_sum = mp.fsum(rows[k])
-        total = total + 1j * mp.mpc(lam[k]) * (row_sum - prev_sum)
-        prev_sum = row_sum
-    for k in range(n - 1):
-        lower, upper = rows[k], rows[k + 1]
-        for i in range(k + 1):
-            total = total - mp.exp(lower[i] - upper[i]) - mp.exp(upper[i + 1] - lower[i])
-    return total
 
 
 def _interior_box(x, cfg: QuadratureConfig, pad: float = 5.0):
@@ -92,6 +59,8 @@ def whittaker_eval(lam, x, cfg: QuadratureConfig | None = None) -> QuadResult:
     """
     x = tuple(mp.mpf(v) for v in x)
     lam = tuple(mp.mpc(v) for v in lam)
+    if not all(mp.isfinite(v) for v in (*x, *lam)):
+        raise DomainError("lam and x must be finite")
     n = len(x)
     if len(lam) != n:
         raise DomainError("lam and x must have the same length")
@@ -180,6 +149,8 @@ def pair_profile(mu1, mu2, s, cfg: QuadratureConfig | None = None) -> QuadResult
 
     so that psi_(mu1,mu2)(x1, x2) = e^{i (mu1+mu2)(x1+x2)/2} * profile(x1-x2).
     """
+    if not all(mp.isfinite(v) for v in (mu1, mu2, s)):
+        raise DomainError("mu1, mu2 and s must be finite")
     if cfg is None:
         cfg = QuadratureConfig()
     # z at the integrand's precision: the caller's would round it, and the
@@ -267,15 +238,22 @@ def stade_check(u, lam, nu, which: str = "first",
     integrals are numeric; the right side is the Gamma product.  cfg
     defaults to composite Gauss-Legendre at a 1e-11 target for both N, and
     the relative tolerance to 1e-8 at N = 1 and 1e-4 at N = 2.
+
+    The relative-coordinate integral is the same for both displays and is
+    memoised on (lam, nu, rate, cfg, ambient precision), so the second
+    display of a pair takes no K-Bessel evaluation; the cutoff integral in
+    y differs between them and is computed per display.
     """
     if which not in ("first", "second"):
         raise DomainError("which must be 'first' or 'second'")
     lam = tuple(mp.mpc(v) for v in lam)
     nu = tuple(mp.mpc(v) for v in nu)
+    u = mp.mpf(u)
+    if not all(mp.isfinite(v) for v in (u, *lam, *nu)):
+        raise DomainError("u, lam and nu must be finite")
     n = len(lam)
     if len(nu) != n or n not in (1, 2):
         raise DomainError("Stade check supports N in {1, 2}")
-    u = mp.mpf(u)
     if u <= 0:
         raise DomainError("u must be positive")
     for li in lam:
@@ -303,12 +281,12 @@ def stade_check(u, lam, nu, which: str = "first",
         lhs = com.value
         diag = {"quad_error": com.error}
     else:
-        rel = _stade_relative_integral(lam, nu, rate, cfg)
+        rel, rel_error = _stade_relative_integral(lam, nu, rate, cfg, mp.mp.prec)
         # At the working precision: the caller's would round the product.
         with mp.workprec(cfg.working_prec()):
-            lhs = com.value * rel.value
-            err = abs(com.error * rel.value) + abs(com.value * rel.error)
-        diag = {"com_error": com.error, "rel_error": rel.error, "quad_error": err}
+            lhs = com.value * rel
+            err = abs(com.error * rel) + abs(com.value * rel_error)
+        diag = {"com_error": com.error, "rel_error": rel_error, "quad_error": err}
 
     rhs = u ** (-mp.fsum([v for v in lam]) - mp.fsum([v for v in nu]))
     for li in lam:
@@ -324,31 +302,38 @@ def stade_check(u, lam, nu, which: str = "first",
     )
 
 
-def _stade_relative_integral(lam, nu, rate, cfg: QuadratureConfig) -> QuadResult:
+@lru_cache(maxsize=4)
+def _stade_relative_integral(lam, nu, rate, cfg: QuadratureConfig, prec: int) -> tuple:
     """integral ds e^{-rate s/2} 2K_{lam1-lam2}(2e^{-s/2}) 2K_{nu1-nu2}(2e^{-s/2})
-    with rate = sum(lam + nu): the relative-coordinate factor at N = 2.
+    with rate = sum(lam + nu): the relative-coordinate factor at N = 2, as the
+    pair (value, error estimate).
 
     Each profile is pair_profile(mu1, mu2, s) = 2K_{i(mu1-mu2)}(2e^{-s/2}) at
     mu = -+i lam (resp. nu), so i(mu1 - mu2) = +-(lam1 - lam2); K is even in
-    its order, so both displays share this integral.
+    its order, so both displays share this integral.  It is memoised on
+    (lam, nu, rate, cfg, prec), prec being the caller's ambient precision,
+    at which the box is sized, so the second display of a pair reuses the
+    first's; the result is an immutable tuple.
     """
-    # Tail rates in s: the profile product grows like e^{(d_lam + d_nu) s / 2}
-    # with d = |Re spread|, against the cutoff factor e^{-rate s / 2}.
-    spread = abs(mp.re(lam[0] - lam[1])) + abs(mp.re(nu[0] - nu[1]))
-    right_rate = (mp.re(rate) - spread) / 2
-    if right_rate <= 0:
-        raise DomainError("relative-coordinate integral does not converge")
-    need = -mp.log(mp.mpf(cfg.target_rel_error)) + 12
-    s_hi = float(need / right_rate + 5)
-    s_lo = -float(2 * mp.log(need) + 6)
+    with mp.workprec(prec):
+        # Tail rates in s: the profile product grows like e^{(d_lam + d_nu) s / 2}
+        # with d = |Re spread|, against the cutoff factor e^{-rate s / 2}.
+        spread = abs(mp.re(lam[0] - lam[1])) + abs(mp.re(nu[0] - nu[1]))
+        right_rate = (mp.re(rate) - spread) / 2
+        if right_rate <= 0:
+            raise DomainError("relative-coordinate integral does not converge")
+        need = -mp.log(mp.mpf(cfg.target_rel_error)) + 12
+        s_hi = float(need / right_rate + 5)
+        s_lo = -float(2 * mp.log(need) + 6)
 
-    with mp.workprec(cfg.integrand_prec()):
-        order_lam, order_nu = lam[0] - lam[1], nu[0] - nu[1]
+        with mp.workprec(cfg.integrand_prec()):
+            order_lam, order_nu = lam[0] - lam[1], nu[0] - nu[1]
 
-    def fs(s):
-        # integrate_1d calls this at the integrand's precision.
-        z = 2 * mp.exp(-s / 2)
-        return (4 * mp.exp(-rate * s / 2)
-                * mp.besselk(order_lam, z) * mp.besselk(order_nu, z))
+        def fs(s):
+            # integrate_1d calls this at the integrand's precision.
+            z = 2 * mp.exp(-s / 2)
+            return (4 * mp.exp(-rate * s / 2)
+                    * mp.besselk(order_lam, z) * mp.besselk(order_nu, z))
 
-    return integrate_1d(fs, s_lo, s_hi, cfg)
+        res = integrate_1d(fs, s_lo, s_hi, cfg)
+        return res.value, res.error

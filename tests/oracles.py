@@ -1,12 +1,17 @@
 """Reference implementations that only the tests use.
 
 Each one is the plain, slow form of something the package computes faster,
-kept so that the fast form can be checked against it.
+or a formula that a package docstring states, kept so that the package can
+be checked against it.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath as mp
+
 from qwlab.qcore import DomainError
+from qwlab.quadrature import QuadratureConfig, QuadResult, integrate_1d, nodes_1d, refine
 from qwlab.symfunc import (
     SingularMatrixError,
     SymmetricPolynomial,
@@ -63,3 +68,73 @@ def inner_product(f: SymmetricPolynomial, g: SymmetricPolynomial, q, t) -> Fract
         for b, cb in g.terms.items():
             acc += ca * cb * gram[(a, b)]
     return acc
+
+
+def integrate_nd(f, boxes, cfg: QuadratureConfig) -> QuadResult:
+    """Adaptive tensor-product integral over a list of [lo, hi] boxes: every
+    node tuple of the composite Gauss-Legendre axes, through `refine`."""
+    if len(boxes) == 1:
+        return integrate_1d(lambda x: f((x,)), boxes[0][0], boxes[0][1], cfg)
+    prec = cfg.working_prec()
+
+    def value_at(level):
+        axes = [nodes_1d(level, lo, hi, prec) for lo, hi in boxes]
+        return _tensor_sum(f, axes, ())
+
+    with mp.workprec(cfg.integrand_prec()):
+        return refine(value_at, range(cfg.max_depth), cfg,
+                      f"{len(boxes)}-d quadrature")
+
+
+def _tensor_sum(f, axes, prefix):
+    total = mp.mpf(0)
+    if len(axes) == 1:
+        for x, w in axes[0]:
+            total = total + w * f(prefix + (x,))
+        return total
+    for x, w in axes[0]:
+        total = total + w * _tensor_sum(f, axes[1:], prefix + (x,))
+    return total
+
+
+@dataclass(frozen=True)
+class GiventalPattern:
+    """Triangular array; rows[k] has k+1 entries and rows[-1] is the top row."""
+
+    rows: tuple
+
+    def __post_init__(self):
+        rows = tuple(tuple(r) for r in self.rows)
+        object.__setattr__(self, "rows", rows)
+        for k, row in enumerate(rows):
+            if len(row) != k + 1:
+                raise DomainError(f"row {k + 1} must have {k + 1} entries")
+
+
+def givental_action(lam, pattern: GiventalPattern):
+    """The exponent F_lam(X) of the Givental integrand (the `whittaker`
+    module docstring), summed row by row."""
+    rows = pattern.rows
+    n = len(rows)
+    if len(lam) != n:
+        raise DomainError("need one spectral parameter per row")
+    total = mp.mpc(0)
+    prev_sum = mp.mpf(0)
+    for k in range(n):
+        row_sum = mp.fsum(rows[k])
+        total = total + 1j * mp.mpc(lam[k]) * (row_sum - prev_sum)
+        prev_sum = row_sum
+    for k in range(n - 1):
+        lower, upper = rows[k], rows[k + 1]
+        for i in range(k + 1):
+            total = total - mp.exp(lower[i] - upper[i]) - mp.exp(upper[i + 1] - lower[i])
+    return total
+
+
+def a_eps_corrected(epsilon) -> mp.mpf:
+    """log (q;q)_inf asymptotic at q = e^{-eps}: -(pi^2/6)/eps - log(eps/(2 pi))/2
+    (the `limits` module docstring)."""
+    eps = mp.mpf(epsilon)
+    if not 0 < eps < 1:
+        raise DomainError("epsilon must lie in (0, 1)")
+    return -mp.pi**2 / (6 * eps) - mp.log(eps / (2 * mp.pi)) / 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qwlab.baxter
+import qwlab.whittaker
 from qwlab.baxter import (
     TestFunction as CutoffFunction,
     _bent_contour,
@@ -19,7 +20,7 @@ from qwlab.baxter import (
 from qwlab.gamma import gamma_c
 from qwlab.qcore import DomainError, QwlabError
 from qwlab.quadrature import QuadratureConfig, nodes_1d, panel_lattice
-from qwlab.whittaker import pair_coupling
+from qwlab.whittaker import pair_coupling, pair_profile, stade_check, whittaker_eval
 
 
 def setup_function(_fn):
@@ -184,6 +185,29 @@ def test_eigen_shift_independence():
     r1 = baxter_eigen_check(w, 1.0, (0.2,), "second", a_shift=0.6)
     r2 = baxter_eigen_check(w, 1.0, (0.2,), "second", a_shift=1.4)
     assert abs(r1.rhs - r2.rhs) < mp.mpf("1e-9")
+
+
+# rhs and quad_error of the N = 1 eigenrelation at w = (0.3 - 0.4i,), u = 1,
+# x = (0.2,), by (display, a_shift), as each display's own integrand summed
+# them; the shared spectral table reproduces them bit for bit.
+EIGEN_N1_BITS = {
+    ("second", None): (((0, 17593037521172931473, -65, 64), (0, 8454806213438475325, -68, 63)),
+                       (0, 18636584833300424542199195019, -131, 94)),
+    ("first", None): (((0, 1252810818439851409, -62, 61), (1, 4816574820242642503, -68, 63)),
+                      (0, 1985131251657179926040884701, -128, 91)),
+    ("second", 1.4): (((0, 17593037521172931479, -65, 64), (0, 1056850776679809421, -65, 60)),
+                      (0, 11860954742115361789969608873, -132, 94)),
+    ("first", 1.4): (((0, 10022486547518811277, -65, 64), (1, 9633149640485284941, -69, 64)),
+                     (0, 1263405104482255072545019151, -129, 91)),
+}
+
+
+def test_eigen_single_variable_bits_of_both_displays():
+    w = (mp.mpc(0.3, -0.4),)
+    for (which, a_shift), (rhs, quad_error) in EIGEN_N1_BITS.items():
+        rep = baxter_eigen_check(w, 1.0, (0.2,), which, a_shift=a_shift)
+        assert rep.rhs._mpc_ == rhs, (which, a_shift)
+        assert rep.diagnostics["quad_error"]._mpf_ == quad_error, (which, a_shift)
 
 
 def test_eigen_requires_lower_half_plane():
@@ -357,3 +381,97 @@ def test_eigen_rejects_non_finite_input():
                    {"w": (w[0], mp.mpc(mp.inf, -0.6))}):
         with pytest.raises(DomainError, match="finite"):
             baxter_eigen_check(**{"w": w, "u": 1.0, "x": (0.3, -0.3), **kwargs})
+
+
+NON_FINITE = [
+    lambda: stade_check(mp.nan, (0.7,), (0.6,)),
+    lambda: stade_check(1, (0.7,), (mp.inf,)),
+    lambda: whittaker_eval((0.5, -0.2), (mp.nan, 0.1)),
+    lambda: pair_profile(0.5, -0.2, mp.nan),
+    lambda: contour_apply(CutoffFunction("constant"), (0.3 - 0.2j,), mp.nan, 1.0),
+    lambda: contour_apply(CutoffFunction("constant"), (0.3 - 0.2j,), 1.0, mp.inf),
+    lambda: residue_apply(CutoffFunction("constant"), (0.3 - 0.2j,), mp.nan),
+]
+
+
+@pytest.mark.parametrize("run", NON_FINITE, ids=[
+    "stade-u-nan", "stade-nu-inf", "whittaker-x-nan", "profile-s-nan",
+    "contour-u-nan", "contour-a-inf", "residue-u-nan"])
+def test_non_finite_input_is_rejected_before_any_work(run):
+    with pytest.raises(DomainError, match="finite"):
+        run()
+
+
+def _counting(monkeypatch, module, name) -> list:
+    calls = [0]
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("w, x, cfg", [
+    ((mp.mpc(0.3, -0.4),), (0.2,), None),
+    ((0.2 - 0.5j, -0.1 - 0.6j), (0.3, -0.1), QuadratureConfig(target_rel_error=1e-4)),
+], ids=["N=1", "N=2"])
+def test_second_display_takes_no_gamma_evaluation(w, x, cfg, monkeypatch):
+    qwlab.baxter._spectral_axis.cache_clear()
+    calls = _counting(monkeypatch, qwlab.baxter, "gamma_c")
+    baxter_eigen_check(w, 1.0, x, "first", cfg)
+    first = calls[0]
+    baxter_eigen_check(w, 1.0, x, "second", cfg)
+    assert first > 0 and calls[0] == first
+
+
+def test_second_stade_display_takes_no_k_bessel_evaluation(monkeypatch):
+    qwlab.whittaker._stade_relative_integral.cache_clear()
+    calls = _counting(monkeypatch, mp, "besselk")
+    stade_check(1.0, (0.5, 0.2), (0.4, 0.3), "first")
+    first = calls[0]
+    stade_check(1.0, (0.5, 0.2), (0.4, 0.3), "second")
+    assert first > 0 and calls[0] == first
+
+
+def _interleaved_equals_cold(memo, run):
+    """run(dps, cfg, which) at two ambient precisions and two configurations,
+    each called after memo.cache_clear() and then interleaved on a warm
+    memo, forwards and backwards: every value must keep its bits."""
+    cfgs = (QuadratureConfig(target_rel_error=1e-6),
+            QuadratureConfig(target_rel_error=1e-6, prec_bits=80))
+    keys = [(dps, cfg, which) for dps in (15, 30) for cfg in cfgs
+            for which in ("first", "second")]
+    cold = {}
+    for key in keys:
+        memo.cache_clear()
+        cold[key] = run(*key)
+    memo.cache_clear()
+    for key in keys + keys[::-1]:
+        assert run(*key) == cold[key], key
+
+
+def test_spectral_table_memo_keeps_cold_bits():
+    def run(dps, cfg, which):
+        with mp.workdps(dps):
+            rep = baxter_eigen_check((mp.mpc(0.3, -0.4),), 1.3, (0.2,), which, cfg)
+        return rep.rhs._mpc_, rep.diagnostics["quad_error"]._mpf_
+
+    _interleaved_equals_cold(qwlab.baxter._spectral_axis, run)
+
+
+def test_relative_integral_memo_keeps_cold_bits():
+    def run(dps, cfg, which):
+        with mp.workdps(dps):
+            rep = stade_check(1.0, (1.5, 1.4), (1.45, 1.35), which, cfg)
+        return rep.lhs._mpc_, rep.diagnostics["rel_error"]._mpf_
+
+    _interleaved_equals_cold(qwlab.whittaker._stade_relative_integral, run)
+
+
+def test_display_memos_are_bounded():
+    assert qwlab.whittaker._stade_relative_integral.cache_info().maxsize is not None
+    # One pair's every refinement level fits.
+    assert qwlab.baxter._spectral_axis.cache_info().maxsize >= QuadratureConfig().max_depth

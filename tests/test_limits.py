@@ -1,9 +1,9 @@
 import mpmath as mp
 import pytest
+from oracles import a_eps_corrected
 
 from qwlab.limits import (
     ScalingPoint,
-    a_eps_corrected,
     convergence_sweep,
     eq_exp_limit_check,
     scaled_qwhittaker,

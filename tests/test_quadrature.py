@@ -4,6 +4,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from oracles import integrate_nd
 
 import qwlab
 from qwlab.baxter import TestFunction as CutoffFunction, _baxter_pair_integral, contour_apply
@@ -14,7 +15,6 @@ from qwlab.quadrature import (
     QuadratureError,
     gauss_legendre_rule,
     integrate_1d,
-    integrate_nd,
     refine,
 )
 from qwlab.whittaker import whittaker_eval

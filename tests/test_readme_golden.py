@@ -4,8 +4,11 @@ Each `qwlab ...` line of the README's CLI block runs as
 `python -m qwlab.cli ...` in a fresh interpreter with PYTHONPATH=src, and
 its stdout bytes and exit code must match the files under tests/golden/:
 `<subcommand>.out` holds the stdout and `exit_codes.json` the command line
-and exit code of each example.  After a deliberate output change, rewrite
-them with `PYTHONPATH=src python tests/test_readme_golden.py`.
+and exit code of each example.  `suite-5-6.out` holds the stdout of
+`qwlab suite --criteria 5,6` on the full ladder, which pins both displays of
+Stade's identity and of the Baxter eigenrelation at N = 2; the README's
+`suite --quick` example runs neither at N = 2.  After a deliberate output
+change, rewrite them all with `PYTHONPATH=src python tests/test_readme_golden.py`.
 """
 
 import json
@@ -37,6 +40,7 @@ def run_example(argv) -> subprocess.CompletedProcess:
 
 
 EXAMPLES = readme_examples()
+DISPLAY_PAIRS = ["qwlab", "suite", "--criteria", "5,6"]
 
 
 def test_readme_examples_have_goldens():
@@ -55,6 +59,12 @@ def test_readme_example_matches_golden(argv):
     assert proc.stdout == (GOLDEN / f"{argv[1]}.out").read_bytes()
 
 
+def test_display_pairs_match_golden():
+    proc = run_example(DISPLAY_PAIRS)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / "suite-5-6.out").read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
@@ -63,3 +73,4 @@ if __name__ == "__main__":
         (GOLDEN / f"{argv[1]}.out").write_bytes(proc.stdout)
         codes[argv[1]] = {"command": shlex.join(argv), "exit": proc.returncode}
     EXIT_CODES.write_text(json.dumps(codes, indent=2) + "\n")
+    (GOLDEN / "suite-5-6.out").write_bytes(run_example(DISPLAY_PAIRS).stdout)

@@ -3,14 +3,13 @@ import random
 
 import mpmath as mp
 import pytest
+from oracles import GiventalPattern, givental_action, integrate_nd
 
 from qwlab.gamma import gamma_c
 from qwlab.qcore import DomainError
-from qwlab.quadrature import QuadratureConfig, integrate_nd
+from qwlab.quadrature import QuadratureConfig
 from qwlab.whittaker import (
-    GiventalPattern,
     _interior_box,
-    givental_action,
     pair_coupling,
     pair_profile,
     sklyanin_m,
