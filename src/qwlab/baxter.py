@@ -30,14 +30,10 @@ into products of single-node factors, so no sum runs over node tuples:
 * spectral form, N = 2: d sinh(pi d) cos(tau d)/pi has rank 8 per chi-grid
   node tau (the sums of a, a t against e^{+-pi t} cos(tau t), e^{+-pi t}
   sin(tau t)), O(n m) work instead of O(n^2 m) for m chi-grid nodes.  The
-  axis is a `nodes_1d` panel lattice, t_j = m0 + p h + o_l + eps_j with
-  eps_j a few units in the last place of t_j, so e^{i tau t_j} factors into
-  (e^{i tau h})^p e^{i tau o_l} times e^{i tau m0} and a third-order
-  residual factor in tau eps_j: r + 2 trigonometric evaluations per tau
-  (r = GL_ORDER) instead of n.  The residuals are checked small enough for
-  that factor to be exact at the table's precision.  The phases and the
-  weights are fixed-point integers, so the eight sums per tau are integer
-  dot products.
+  chi grid is the trapezoid rule on tau_m = m h, so e^{i tau_m t_j} =
+  (e^{i h t_j})^m: each node's phase advances by one fixed-point complex
+  multiply per m, whatever the node set.  The phases and the weights are
+  fixed-point integers, so the eight sums per tau are integer dot products.
 
 The single-node factors grow with the height H, the largest |Im xi| or |t|,
 so the separated terms can exceed the result: by e^{pi floor(N^2/2) H} for
@@ -67,15 +63,7 @@ from mpmath.libmp import mpf_cos_sin, mpf_mul, to_fixed
 
 from .gamma import GammaPoleError, gamma_c
 from .qcore import DomainError, QwlabError, compositions_of_weight
-from .quadrature import (
-    PanelLattice,
-    QuadratureConfig,
-    QuadResult,
-    gauss_legendre_rule,
-    nodes_1d,
-    panel_lattice,
-    refine,
-)
+from .quadrature import QuadratureConfig, QuadResult, nodes_1d, refine
 from .report import VerificationReport, comparison_report
 from .whittaker import whittaker_eval
 
@@ -320,9 +308,12 @@ def lemma1_check(f: TestFunction, w, u, a: float,
                         tolerance: float | None = None) -> VerificationReport:
     """Residue form at argument -u against the contour form, N <= 3: the two
     evaluations of the same operator must agree, to a relative tolerance
-    that defaults to 1e-8 at N = 1 and 1e-6 at N >= 2.  The contour form
-    runs first, so an input outside its domain is rejected before any
-    residue shell is summed."""
+    that defaults to 1e-8 at N = 1 and 1e-6 at N >= 2.  A negative cap is
+    rejected before either form runs; the contour form runs first, so an
+    input outside its domain is rejected before any residue shell is
+    summed."""
+    if cap < 0:
+        raise DomainError("cap must be >= 0")
     if tolerance is None:
         tolerance = 1e-8 if len(w) == 1 else 1e-6
     con = contour_apply(f, w, u, a, cfg)
@@ -435,9 +426,10 @@ def baxter_eigen_check(w, u, x, which: str = "second",
     the Gamma factors put their first pole ladder at heights -Im(w_j) > 0,
     and integrating below it (e.g. on the real line) drops those residues
     and breaks the identity.  The result is independent of the shift, which
-    the tests exercise, up to the N = 2 chi grid's discretisation error: at
-    large |delta| sinh(pi delta) amplifies it, and more so the higher the
-    line (relative error 8e-4 at a_shift = 3 on criterion 6's inputs).
+    the tests exercise, up to the truncation of the N = 2 spectral box at
+    the fixed T = 12: a higher line weakens the Gamma decay at |t| = T, so
+    the dropped tails grow (relative error 1e-7 at a_shift = 2, 9e-4 at 3
+    and 0.34 at 4 on criterion 6's inputs; with T = 20, 2e-13 at 2).
     The relative tolerance defaults to 1e-6 at N = 1 and 1e-3 at N = 2.
 
     Both displays integrate the same Gamma product on the spectral line; it
@@ -543,7 +535,7 @@ def _spectral_axis(w, log_u, a_shift, T, level: int, prec: int, work: int) -> tu
 def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: int):
     """N = 2 spectral integral along (R + i a_shift)^2 with the Whittaker
     factor reduced to the relative-coordinate profile chi(xi_1 - xi_2),
-    which only sees the real parts, on a fixed grid.  The double sum over
+    which only sees the real parts, on the `_chi_grid`.  The double sum over
     the spectral nodes is the rank-8 separation `_rank8_pair_sum`."""
     sigma = (x[0] + x[1]) / 2
     s = x[0] - x[1]
@@ -552,40 +544,40 @@ def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: i
     uw = mp.exp(1j * (w[0] + w[1]) * log_u)
 
     T = max(12.0, 2 * (-math.log(cfg.target_rel_error * 1e-2)) / math.pi)
-    delta_max = 2 * T
-    # chi(delta) = 2 int_0^inf cos(delta t) e^{-z cosh t} dt on a fixed grid
-    # dense enough for the fastest oscillation.
-    need = -mp.log(mp.mpf(cfg.target_rel_error)) + 20
-    tmax = float(mp.log(2 * need / z + 3) + 1)
-    panel = min(0.5, 4 * math.pi / delta_max)
-    panels = max(8, int(math.ceil(tmax / panel)))
-    tg = []
-    rule = gauss_legendre_rule(prec)
-    step = mp.mpf(tmax) / panels
-    for p in range(panels):
-        mid = (p + mp.mpf("0.5")) * step
-        for node, wt in rule:
-            t = mid + node * step / 2
-            tg.append((t, wt * step / 2 * 2 * mp.exp(-z * mp.cosh(t))))
+    h, omegas = _chi_grid(z, cfg.target_rel_error, 2 * T)
 
     def value_at(level):
         table = _spectral_axis(w, log_u, a_shift, T, level, prec, prec)
         # phase from psi_{sign * xi}: e^{sign * i xi sigma} per coordinate
-        axis = [(t, wt * (h * mp.exp(sign * 1j * (t + 1j * a_shift) * sigma)))
-                for (t, wt), h in zip(nodes_1d(level, -T, T, prec), table)]
-        lattice = panel_lattice(level, -T, T, prec)
-        return uw * _rank8_pair_sum(lattice, axis, tg, prec, T) / ((2 * mp.pi) ** 2 * 2)
+        axis = [(t, wt * (h_t * mp.exp(sign * 1j * (t + 1j * a_shift) * sigma)))
+                for (t, wt), h_t in zip(nodes_1d(level, -T, T, prec), table)]
+        return uw * _rank8_pair_sum(axis, h, omegas, prec, T) / ((2 * mp.pi) ** 2 * 2)
 
     quad = refine(value_at, range(min(cfg.max_depth, 4)), cfg, "spectral quadrature")
     return quad.value, {**quad.diagnostics, "quad_error": quad.error,
-                        "T": T, "chi_nodes": len(tg), "a_shift": a_shift}
+                        "T": T, "chi_nodes": len(omegas), "a_shift": a_shift}
 
 
-def _rank8_pair_sum(lattice: PanelLattice, axis, chi_grid, prec: int, height):
-    """sum_{j,k} a_j a_k (d sinh(pi d)/pi) chi(d) over all node pairs, where
-    d = t_j - t_k, chi(d) = sum_m omega_m cos(tau_m d) on its grid, and the
-    nodes t_j are those of `lattice` (`nodes_1d` order), paired with a_j in
-    `axis`.
+def _chi_grid(z, target: float, delta_max):
+    """(h, omegas) with chi(delta) = sum_m omega_m cos(m h delta), the
+    trapezoid rule for 2 K_{i delta}(z) = 2 int_0^inf cos(delta t) e^{-z cosh t} dt:
+    omega_0 = h e^{-z}, omega_m = 2 h e^{-z cosh(m h)} up to t = tmax.  The
+    integrand is analytic for |Im t| < pi/2, so the error falls like
+    e^{-pi^2/h + pi |delta|/2} (Trefethen & Weideman, SIAM Rev. 2014), below
+    e^{-need} out to |delta| = delta_max."""
+    need = -mp.log(mp.mpf(target)) + 20
+    tmax = float(mp.log(2 * need / z + 3) + 1)
+    h = mp.pi ** 2 / (mp.mpf(1.5) * mp.pi * delta_max + need)
+    steps = int(mp.ceil(tmax / h))
+    omegas = [h * mp.exp(-z)]
+    omegas += [2 * h * mp.exp(-z * mp.cosh(m * h)) for m in range(1, steps + 1)]
+    return h, omegas
+
+
+def _rank8_pair_sum(axis, h, omegas, prec: int, height):
+    """sum_{j,k} a_j a_k (d sinh(pi d)/pi) chi(d) over all node pairs of
+    `axis`, a list of (t_j, a_j), where d = t_j - t_k and chi(d) =
+    sum_m omega_m cos(tau_m d) on the uniform grid tau_m = m h.
 
     For each tau, write A_0(c) = sum a_j e^{c t_j}, A_1(c) = sum a_j t_j e^{c t_j}
     and F(c) = A_1(c) A_0(-c) - A_0(c) A_1(-c), the pair sum of a a d e^{c d}.
@@ -597,22 +589,19 @@ def _rank8_pair_sum(lattice: PanelLattice, axis, chi_grid, prec: int, height):
 
     The sums run on integers.  Each of the four weight lists a t^k e^{+-pi t}
     is scaled once to W-bit fixed point by its largest entry, W = prec plus
-    the guard bits of |t| <= height, and the phases e^{i tau t_j} are
-    tabulated as fixed-point integers (`_phase_table`), so the single-node
-    sums are exact integer dot products; only their eight values per tau
-    return to mpmath, which combines them at W bits.
-    """
+    the guard bits of |t| <= height.  The phases e^{i tau_m t_j} =
+    (e^{i h t_j})^m start at 1 and advance by one multiply by the tabulated
+    e^{i h t_j} per m, at 2^-scale, so the eight sums per tau are exact
+    integer dot products, combined at W bits.  The table is off by at most 2
+    units per part and each floored product by under 1, so after m steps a
+    phase is off by at most 5 m units; scale = W + bit_length(len(omegas)) + 8
+    keeps that below 2^-(W+5)."""
     work = prec + _guard_bits(height)
-    # The p-th panel phase is a product of p tabulated factors, so it
-    # carries about p roundings of the table.
-    scale = work + lattice.panels.bit_length() + 8
-    residuals = _lattice_residuals(lattice, [t for t, _ in axis], scale)
-    taus = [to_fixed(tau._mpf_, scale) for tau, _ in chi_grid]
-    reach = max(map(abs, taus), default=0) * max(map(abs, residuals)) >> scale
-    if 4 * reach.bit_length() > 3 * scale:
-        # e^{i tau eps} is taken to third order in tau eps: the remainder
-        # (tau eps)^4 / 24 must stay below the table's unit.
-        raise QwlabError("an axis node lies too far off its panel lattice point")
+    scale = work + len(omegas).bit_length() + 8
+    steps = [mpf_cos_sin(mpf_mul(h._mpf_, t._mpf_), scale, "n") for t, _ in axis]
+    step_cos = [to_fixed(c, scale) for c, _ in steps]
+    step_sin = [to_fixed(s, scale) for _, s in steps]
+    cos, sin = [1 << scale] * len(axis), [0] * len(axis)
     with mp.workprec(work):
         up = [a * mp.exp(mp.pi * t) for t, a in axis]
         down = [a * mp.exp(-mp.pi * t) for t, a in axis]
@@ -620,66 +609,19 @@ def _rank8_pair_sum(lattice: PanelLattice, axis, chi_grid, prec: int, height):
         down_t = [b * t for (t, _), b in zip(axis, down)]
         weights = [_fixed_point(values, work) for values in (up_t, down, up, down_t)]
         acc = mp.mpc(0)
-        for (tau, omega), tau_fixed in zip(chi_grid, taus):
-            cos, sin = _phase_table(lattice, tau, tau_fixed, residuals, scale)
+        for m, omega in enumerate(omegas):
+            if m:
+                cos, sin = (
+                    [(c * sc - s * ss) >> scale
+                     for c, s, sc, ss in zip(cos, sin, step_cos, step_sin)],
+                    [(c * ss + s * sc) >> scale
+                     for c, s, sc, ss in zip(cos, sin, step_cos, step_sin)])
             (ut_c, ut_s), (d_c, d_s), (u_c, u_s), (dt_c, dt_s) = (
                 (_fixed_dot(w, cos, scale), _fixed_dot(w, sin, scale)) for w in weights)
             # (F(pi + i tau) + F(pi - i tau)) / 2: the cross terms of the
             # conjugate pairs cancel.
             acc += omega * (ut_c * d_c + ut_s * d_s - u_c * dt_c - u_s * dt_s)
         return acc / mp.pi
-
-
-def _lattice_residuals(lattice: PanelLattice, nodes, scale: int) -> list:
-    """eps_j = t_j - (origin + p step + offsets[l]) for node j = p r + l,
-    subtracted exactly and then rounded to fixed point at 2^-scale."""
-    offsets = lattice.offsets
-    if len(nodes) != lattice.panels * len(offsets):
-        raise QwlabError("the axis does not have one node per lattice point")
-    nodes = iter(nodes)
-    out = []
-    for p in range(lattice.panels):
-        base = mp.fadd(lattice.origin, mp.fmul(p, lattice.step, exact=True), exact=True)
-        for offset in offsets:
-            point = mp.fadd(base, offset, exact=True)
-            out.append(to_fixed(mp.fsub(next(nodes), point, exact=True)._mpf_, scale))
-    return out
-
-
-def _phase_table(lattice: PanelLattice, tau, tau_fixed: int, residuals, scale: int):
-    """cos(tau t_j) and sin(tau t_j) for every node, as integers at 2^-scale.
-
-    With t_j = origin + p step + offsets[l] + eps_j,
-
-        e^{i tau t_j} = e^{i tau origin} (e^{i tau step})^p e^{i tau offsets[l]} e^{i tau eps_j},
-
-    so each tau takes r + 2 trigonometric evaluations (r = GL_ORDER), and the
-    panel powers and products are fixed-point integer products.  The lattice
-    residual eps_j is a few units in the last place of t_j, so its factor is
-    1 + i tau eps - (tau eps)^2/2 - i (tau eps)^3/6; `_rank8_pair_sum` checks
-    that the remainder is below 2^-scale."""
-    def phase(x):
-        c, s = mpf_cos_sin(mpf_mul(tau._mpf_, x._mpf_), scale, "n")
-        return to_fixed(c, scale), to_fixed(s, scale)
-
-    zr, zi = phase(lattice.origin)
-    sr, si = phase(lattice.step)
-    offsets = [phase(o) for o in lattice.offsets]
-    one = 1 << scale
-    cos, sin = [], []
-    eps = iter(residuals)
-    for _ in range(lattice.panels):
-        for orr, oi in offsets:
-            er = (zr * orr - zi * oi) >> scale
-            ei = (zr * oi + zi * orr) >> scale
-            d = tau_fixed * next(eps) >> scale
-            d2 = d * d >> scale
-            rr = one - (d2 >> 1)
-            ri = d - (d2 * d >> scale) // 6
-            cos.append((er * rr - ei * ri) >> scale)
-            sin.append((er * ri + ei * rr) >> scale)
-        zr, zi = (zr * sr - zi * si) >> scale, (zr * si + zi * sr) >> scale
-    return cos, sin
 
 
 def _fixed_point(values, bits: int):

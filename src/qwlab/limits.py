@@ -279,9 +279,9 @@ def term_limit_checks(eps_list=DEFAULT_EPS_LADDER, nu=(1, 0),
 
 
 def convergence_sweep(eps_list=DEFAULT_EPS_LADDER, x=(0.3, -0.3),
-                      w=(0.5, -0.2), prec_bits: int = DEFAULT_PREC_BITS,
-                      cfg: QuadratureConfig | None = None):
-    """psi^eps_w(x) against psi_w(x) along the ladder; returns
+                      w=(0.5, -0.2), prec_bits: int = DEFAULT_PREC_BITS):
+    """psi^eps_w(x) against psi_w(x), the latter integrated to a relative
+    error of 1e-12, along the ladder; returns
     (report, rows) where rows are (epsilon, value, target, abs_err).
 
     Passes when the smallest-epsilon error is at most half the largest-
@@ -292,10 +292,8 @@ def convergence_sweep(eps_list=DEFAULT_EPS_LADDER, x=(0.3, -0.3),
     w = tuple(w)
     if len(x) not in (1, 2):
         raise DomainError("sweep supports N in {1, 2}")
-    if cfg is None:
-        cfg = QuadratureConfig(target_rel_error=1e-12)
     with set_precision(prec_bits):
-        target = whittaker_eval(w, x, cfg).value
+        target = whittaker_eval(w, x, QuadratureConfig(target_rel_error=1e-12)).value
         rows = []
         errors = []
         for eps_f in eps_list:

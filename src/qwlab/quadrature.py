@@ -4,7 +4,8 @@ The one rule is composite Gauss-Legendre: fixed-order panels, refined by
 doubling the panel count.  Every lab integrand is smooth on its truncated
 box, and the tests anchor the rule against closed forms.  The lab's
 multi-dimensional sums (the N = 3 pattern sum, the contour and spectral
-sums) are built on the same node sets.
+sums) are built on the same node sets; only the K-Bessel profile inside the
+N = 2 spectral sum is a trapezoid sum, in `baxter`.
 
 `refine` is the one place the stopping rule lives: refinement stops when
 two successive levels agree to the target relative error, and the last
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -97,45 +98,19 @@ def gauss_legendre_rule(prec: int) -> tuple:
         return tuple(nodes)
 
 
-@dataclass(frozen=True)
-class PanelLattice:
-    """The layout of `nodes_1d` on [lo, hi]: `panels` panels of width `step`,
-    each carrying the GL_ORDER-point `rule`.  Node l of panel p is the
-    lattice point origin + p step + offsets[l], rounded at the working
-    precision; origin = lo + step/2 is the first panel's midpoint and
-    offsets[l] = (step/2) x_l.  Both are exact binary values."""
-
-    lo: mp.mpf
-    step: mp.mpf
-    panels: int
-    rule: tuple
-
-    @cached_property
-    def origin(self) -> mp.mpf:
-        return mp.fadd(self.lo, self.step / 2, exact=True)
-
-    @cached_property
-    def offsets(self) -> tuple:
-        return tuple(mp.fmul(self.step / 2, x, exact=True) for x, _ in self.rule)
-
-
-def panel_lattice(level: int, lo, hi, prec: int) -> PanelLattice:
-    """ceil(width / 3) panels on [lo, hi], doubled at each refinement level."""
+def nodes_1d(level: int, lo, hi, prec: int) -> tuple:
+    """Composite Gauss-Legendre nodes/weights on [lo, hi]: ceil(width / 3)
+    panels of GL_ORDER points, doubled at each refinement level."""
     lo, hi = mp.mpf(lo), mp.mpf(hi)
     width = hi - lo
     panels = max(1, int(mp.ceil(width / 3))) * 2**level
-    return PanelLattice(lo, width / panels, panels, gauss_legendre_rule(prec))
-
-
-def nodes_1d(level: int, lo, hi, prec: int) -> tuple:
-    """Composite Gauss-Legendre nodes/weights on the `panel_lattice` of
-    [lo, hi]."""
-    lattice = panel_lattice(level, lo, hi, prec)
-    half = lattice.step / 2
+    step = width / panels
+    rule = gauss_legendre_rule(prec)
+    half = step / 2
     out = []
-    for p in range(lattice.panels):
-        mid = lattice.lo + p * lattice.step + half
-        for x, w in lattice.rule:
+    for p in range(panels):
+        mid = lo + p * step + half
+        for x, w in rule:
             out.append((mid + half * x, half * w))
     return tuple(out)
 

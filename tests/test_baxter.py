@@ -9,6 +9,7 @@ import qwlab.whittaker
 from qwlab.baxter import (
     TestFunction as CutoffFunction,
     _bent_contour,
+    _chi_grid,
     _rank8_pair_sum,
     baxter_eigen_check,
     contour_apply,
@@ -18,8 +19,8 @@ from qwlab.baxter import (
     residue_apply,
 )
 from qwlab.gamma import gamma_c
-from qwlab.qcore import DomainError, QwlabError
-from qwlab.quadrature import QuadratureConfig, nodes_1d, panel_lattice
+from qwlab.qcore import DomainError
+from qwlab.quadrature import QuadratureConfig, nodes_1d
 from qwlab.whittaker import pair_coupling, pair_profile, stade_check, whittaker_eval
 
 
@@ -302,62 +303,74 @@ def test_lemma_rejects_bad_input_before_the_residue_series(w, monkeypatch):
         lemma1_check(CutoffFunction("constant"), w, 1.0, 1.0)
 
 
+def test_lemma_rejects_a_negative_cap_before_the_contour(monkeypatch):
+    def contour_apply(*args, **kwargs):
+        raise AssertionError("contour quadrature ran before the cap was checked")
+
+    monkeypatch.setattr(qwlab.baxter, "contour_apply", contour_apply)
+    with pytest.raises(DomainError, match="cap"):
+        lemma1_check(CutoffFunction("constant"), W1, 1.0, 1.0, cap=-1)
+
+
 def _spectral_axis(prec, rng):
-    """A nodes_1d axis on a random interval and level, with its lattice,
-    random complex weights and a random chi grid."""
+    """A nodes_1d axis on a random interval and level, with random complex
+    weights and a random uniform chi grid (h, omegas)."""
     lo, hi = mp.mpf(rng.uniform(-3, 0)), mp.mpf(rng.uniform(0.5, 3))
     level = rng.randrange(3)
-    lattice = panel_lattice(level, lo, hi, prec)
     nodes = [t for t, _ in nodes_1d(level, lo, hi, prec)]
     weights = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in nodes]
-    chi_grid = [(mp.mpf(rng.uniform(0, 4)), mp.mpf(rng.uniform(0, 1))) for _ in range(5)]
-    return lattice, nodes, weights, chi_grid, max(abs(lo), abs(hi))
+    h = mp.mpf(rng.uniform(0.05, 0.3))
+    omegas = [mp.mpf(rng.uniform(0, 1)) for _ in range(24)]
+    return nodes, weights, h, omegas, max(abs(lo), abs(hi))
 
 
 @pytest.mark.parametrize("prec", [64, 128])
 def test_spectral_pair_sum_matches_direct_pair_loop(prec):
     rng = random.Random(5)
     with mp.workprec(prec):
-        lattice, nodes, weights, chi_grid, height = _spectral_axis(prec, rng)
+        nodes, weights, h, omegas, height = _spectral_axis(prec, rng)
         # The same nodes, each moved a few units in its last place off the
-        # lattice point it was rounded from.
+        # point nodes_1d rounded it to.
         nudged = [t + rng.randint(-4, 4) * mp.mpf(2) ** (mp.mag(t) - prec) for t in nodes]
     assert nudged != nodes
     for axis_nodes in (nodes, nudged):
         axis = list(zip(axis_nodes, weights))
         with mp.workprec(prec):
-            separable = _rank8_pair_sum(lattice, axis, chi_grid, prec, height)
+            separable = _rank8_pair_sum(axis, h, omegas, prec, height)
         with mp.workprec(prec + 60):
             direct = mp.mpc(0)
             for j in range(len(axis)):
                 for k in range(j + 1, len(axis)):
                     (tj, aj), (tk, ak) = axis[j], axis[k]
                     d = tj - tk
-                    chi = mp.fsum(omega * mp.cos(tau * d) for tau, omega in chi_grid)
+                    # sum_m omega_m cos(m h d) as the real part of a polynomial in e^{ihd}
+                    chi = mp.re(mp.polyval(omegas[::-1], mp.expj(h * d)))
                     direct += 2 * aj * ak * (d * mp.sinh(mp.pi * d) / mp.pi) * chi
             assert abs(separable - direct) < mp.mpf(2) ** -prec * abs(direct)
 
 
-def test_spectral_pair_sum_rejects_an_axis_off_its_lattice():
+@pytest.mark.parametrize("s", [-1.5, 0.6, 3.0])
+def test_chi_grid_matches_k_bessel(s):
+    # Criterion 6's grid (target 1e-5, T = 12) out to delta = 2T: the
+    # trapezoid rule's error is far below the weights' rounding there.
     prec = 64
     with mp.workprec(prec):
-        lattice, nodes, weights, chi_grid, height = _spectral_axis(prec, random.Random(6))
-        moved = [nodes[0] + mp.mpf("1e-6")] + nodes[1:]
-        for axis_nodes in (moved, nodes[:-1]):
-            with pytest.raises(QwlabError, match="lattice"):
-                _rank8_pair_sum(lattice, list(zip(axis_nodes, weights)), chi_grid, prec,
-                                height)
+        z = 2 * mp.exp(-mp.mpf(s) / 2)
+        h, omegas = _chi_grid(z, 1e-5, 24)
+    with mp.workprec(prec + 40):
+        for delta in (mp.mpf(k) / 4 for k in range(97)):
+            chi = mp.fsum(omega * mp.cos(m * h * delta) for m, omega in enumerate(omegas))
+            assert abs(chi - 2 * mp.besselk(1j * delta, z)) <= 4 * mp.mpf(2) ** -prec, delta
 
 
 # (rhs, quad_error) of criterion 6's inputs at each line height, as the
-# floating-point pair sum (one cos_sin per node pair, mpmath dot products)
-# gave them; the integer rank-8 kernel reproduces them bit for bit.  At
+# trapezoid chi grid and the integer rank-8 kernel give them.  At
 # x = (0.3, -0.3) both displays give the same values.
 PAIR_INTEGRAL_BITS = {
-    1.1: (((0, 2050075979587452939, -64, 61), (1, 16829435291531473791, -73, 64)),
-          (0, 14206690659693696633, -84, 64)),
-    2.0: (((0, 16400608682022176641, -67, 64), (1, 8414736648582191003, -72, 63)),
-          (0, 8131955459039320269, -98, 63)),
+    1.1: (((0, 16400607836705477465, -67, 64), (1, 8414717645867098043, -72, 63)),
+          (0, 14206690659693711515, -84, 64)),
+    2.0: (((0, 16400608726196525813, -67, 64), (1, 8414737414337761217, -72, 63)),
+          (0, 8131960273406227233, -98, 63)),
 }
 
 
@@ -373,6 +386,35 @@ def test_eigen_pair_shift_independence():
         rhs, quad_error = PAIR_INTEGRAL_BITS[a_shift]
         assert rep.rhs._mpc_ == rhs, (which, a_shift)
         assert rep.diagnostics["quad_error"]._mpf_ == quad_error, (which, a_shift)
+
+
+def _gl2_left_side(w, u, x, which):
+    """The eigenrelation's left side at N = 2 in closed form: the cutoff
+    times psi_lam(x) = e^{i(lam1 + lam2)(x1 + x2)/2} 2 K_{i(lam1 - lam2)}(2 e^{-(x1 - x2)/2}),
+    lam = w (`second`) or -w (`first`)."""
+    if which == "second":
+        cutoff, lam = mp.exp(-u * mp.exp(-x[1])), w
+    else:
+        cutoff, lam = mp.exp(-u * mp.exp(x[0])), tuple(-v for v in w)
+    return (cutoff * mp.exp(1j * (lam[0] + lam[1]) * (x[0] + x[1]) / 2)
+            * 2 * mp.besselk(1j * (lam[0] - lam[1]), 2 * mp.exp(-(x[0] - x[1]) / 2)))
+
+
+TRUNCATED_BOX = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the spectral box is fixed at T = 12, and on this higher line its dropped "
+    "tails (true error 1.1e-8) exceed the refinement estimate (2.6e-11); "
+    "sizing T from a_shift is ROADMAP item 4"))
+
+
+@pytest.mark.parametrize("which", ["second", "first"])
+@pytest.mark.parametrize("a_shift", [1.1, pytest.param(2.0, marks=TRUNCATED_BOX)])
+def test_eigen_pair_error_estimate_bounds_true_error(a_shift, which):
+    w = (mp.mpc(0.2, -0.5), mp.mpc(-0.1, -0.6))
+    x = (mp.mpf(0.3), mp.mpf(-0.3))
+    rep = baxter_eigen_check(w, 1.0, x, which, a_shift=a_shift)
+    with mp.workprec(128):
+        exact = _gl2_left_side(w, 1, x, which)
+    assert abs(rep.rhs - exact) <= rep.diagnostics["quad_error"]
 
 
 def test_eigen_rejects_non_finite_input():
