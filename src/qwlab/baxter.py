@@ -29,8 +29,8 @@ into products of single-node factors, so no sum runs over node tuples:
   times the integrand's single-variable factors: O(N^2 n) work per level;
 * spectral form, N = 2: d sinh(pi d) cos(tau d)/pi has rank 8 per chi-grid
   node tau (the sums of a, a t against e^{+-pi t} cos(tau t), e^{+-pi t}
-  sin(tau t)), O(n m) work instead of O(n^2 m) for m chi-grid nodes.  The
-  chi grid is the trapezoid rule on tau_m = m h, so e^{i tau_m t_j} =
+  sin(tau t)), O(n m) work instead of O(n^2 m) for m chi-grid nodes.  On
+  the trapezoid grid tau_m = m h of `profile_grid`, e^{i tau_m t_j} =
   (e^{i h t_j})^m: each node's phase advances by one fixed-point complex
   multiply per m, whatever the node set.  The phases and the weights are
   fixed-point integers, so the eight sums per tau are integer dot products.
@@ -65,7 +65,7 @@ from .gamma import GammaPoleError, gamma_c
 from .qcore import DomainError, QwlabError, compositions_of_weight
 from .quadrature import QuadratureConfig, QuadResult, nodes_1d, refine
 from .report import VerificationReport, comparison_report
-from .whittaker import whittaker_eval
+from .whittaker import profile_grid, whittaker_eval
 
 
 @dataclass(frozen=True)
@@ -535,8 +535,8 @@ def _spectral_axis(w, log_u, a_shift, T, level: int, prec: int, work: int) -> tu
 def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: int):
     """N = 2 spectral integral along (R + i a_shift)^2 with the Whittaker
     factor reduced to the relative-coordinate profile chi(xi_1 - xi_2),
-    which only sees the real parts, on the `_chi_grid`.  The double sum over
-    the spectral nodes is the rank-8 separation `_rank8_pair_sum`."""
+    which only sees the real parts, on `profile_grid` at rate 0, level 0.
+    The double sum over the spectral nodes is `_rank8_pair_sum`."""
     sigma = (x[0] + x[1]) / 2
     s = x[0] - x[1]
     z = 2 * mp.exp(-s / 2)
@@ -544,7 +544,7 @@ def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: i
     uw = mp.exp(1j * (w[0] + w[1]) * log_u)
 
     T = max(12.0, 2 * (-math.log(cfg.target_rel_error * 1e-2)) / math.pi)
-    h, omegas = _chi_grid(z, cfg.target_rel_error, 2 * T)
+    h, omegas = profile_grid(z, cfg.target_rel_error, 2 * T)
 
     def value_at(level):
         table = _spectral_axis(w, log_u, a_shift, T, level, prec, prec)
@@ -556,22 +556,6 @@ def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: i
     quad = refine(value_at, range(min(cfg.max_depth, 4)), cfg, "spectral quadrature")
     return quad.value, {**quad.diagnostics, "quad_error": quad.error,
                         "T": T, "chi_nodes": len(omegas), "a_shift": a_shift}
-
-
-def _chi_grid(z, target: float, delta_max):
-    """(h, omegas) with chi(delta) = sum_m omega_m cos(m h delta), the
-    trapezoid rule for 2 K_{i delta}(z) = 2 int_0^inf cos(delta t) e^{-z cosh t} dt:
-    omega_0 = h e^{-z}, omega_m = 2 h e^{-z cosh(m h)} up to t = tmax.  The
-    integrand is analytic for |Im t| < pi/2, so the error falls like
-    e^{-pi^2/h + pi |delta|/2} (Trefethen & Weideman, SIAM Rev. 2014), below
-    e^{-need} out to |delta| = delta_max."""
-    need = -mp.log(mp.mpf(target)) + 20
-    tmax = float(mp.log(2 * need / z + 3) + 1)
-    h = mp.pi ** 2 / (mp.mpf(1.5) * mp.pi * delta_max + need)
-    steps = int(mp.ceil(tmax / h))
-    omegas = [h * mp.exp(-z)]
-    omegas += [2 * h * mp.exp(-z * mp.cosh(m * h)) for m in range(1, steps + 1)]
-    return h, omegas
 
 
 def _rank8_pair_sum(axis, h, omegas, prec: int, height):

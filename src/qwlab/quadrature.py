@@ -4,14 +4,15 @@ The one rule is composite Gauss-Legendre: fixed-order panels, refined by
 doubling the panel count.  Every lab integrand is smooth on its truncated
 box, and the tests anchor the rule against closed forms.  The lab's
 multi-dimensional sums (the N = 3 pattern sum, the contour and spectral
-sums) are built on the same node sets; only the K-Bessel profile inside the
-N = 2 spectral sum is a trapezoid sum, in `baxter`.
+sums) are built on the same node sets.  The exception is the GL(2) profile
+2 K_{i delta}(z) (the N = 2 Whittaker function and the N = 2 spectral sum's
+chi grid): a trapezoid sum on `whittaker.profile_grid`.
 
 `refine` is the one place the stopping rule lives: refinement stops when
 two successive levels agree to the target relative error, and the last
 disagreement is reported as the error estimate.  Every refined value in the
-lab (these integrals, the N = 3 pattern sum, the contour and spectral sums
-of the dual Baxter checks) goes through it.
+lab (these integrals, the profile sum, the N = 3 pattern sum, the contour
+and spectral sums of the dual Baxter checks) goes through it.
 """
 
 from __future__ import annotations

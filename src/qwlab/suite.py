@@ -322,20 +322,25 @@ def criterion_8_analytic_infrastructure(quick: bool = False) -> list:
             diagnostics={"c1": c1, "c2": c2},
         ))
     cfg = QuadratureConfig(target_rel_error=1e-9)
-    # Each case compares psi_lam(x) with psi_lam2(x2).  N = 2: the reflection
-    # (-lam, -x reversed).  N = 3: the reflected sum would reuse the direct
-    # sum's numbers, but psi_lam is symmetric in lam, so a Weyl-permuted lam
-    # runs a different sum.
-    cases = [("whittaker-reflection", (0.5, -0.2), (0.3, -0.3), (-0.5, 0.2), (0.3, -0.3))]
+    # N = 2: psi_lam(x) against its K-Bessel closed form, at twice the
+    # working precision so that the comparison sees the sum's own error.
+    lam, x = (0.5, -0.2), (0.3, -0.3)
+    psi = whittaker_eval(lam, x, cfg)
+    with mp.workprec(2 * cfg.working_prec()):
+        l1, l2 = (mp.mpf(v) for v in lam)
+        x1, x2 = (mp.mpf(v) for v in x)
+        closed = (mp.exp(1j * (l1 + l2) * (x1 + x2) / 2)
+                  * 2 * mp.besselk(1j * (l1 - l2), 2 * mp.exp(-(x1 - x2) / 2)))
+    reports.append(comparison_report(
+        "whittaker-k-bessel", {"lam": list(lam), "x": list(x), "n": 2},
+        psi.value, closed, tolerance=1e-8, diagnostics={"quad_error": psi.error}))
     if not quick:
-        cases.append(("whittaker-weyl-permutation", (0.5, 0.1, -0.4), (0.4, 0.0, -0.4),
-                      (0.1, -0.4, 0.5), (0.4, 0.0, -0.4)))
-    for check_id, lam, x, lam2, x2 in cases:
+        # N = 3: psi_lam is symmetric in lam; a permuted lam runs a different sum.
+        lam, x = (0.5, 0.1, -0.4), (0.4, 0.0, -0.4)
         direct = whittaker_eval(lam, x, cfg)
-        other = whittaker_eval(lam2, x2, cfg)
+        other = whittaker_eval((0.1, -0.4, 0.5), x, cfg)
         reports.append(comparison_report(
-            check_id,
-            {"lam": list(lam), "x": list(x), "n": len(x)},
+            "whittaker-weyl-permutation", {"lam": list(lam), "x": list(x), "n": 3},
             direct.value, other.value, tolerance=1e-8,
             diagnostics={"quad_error": direct.error}))
     return reports

@@ -12,10 +12,10 @@ The e^(-e^s) coupling makes the integrand die double-exponentially a few
 units outside the top-row hull, so a modest truncated box suffices.
 
 For N = 2 the interior integral separates into a center-of-mass phase times
-a one-dimensional profile in s = x_1 - x_2; `pair_profile` exposes that
-profile by quadrature.  The separation is an exact change of variables and
-is itself cross-checked against the direct pattern integral in the tests.
-The profile's closed form is 2 K_{i(mu1-mu2)}(2 e^{-s/2}), the GL(2)
+a one-dimensional profile in s = x_1 - x_2, `pair_profile`, a trapezoid sum
+on the `profile_grid` that also carries the N = 2 spectral sum's chi grid.
+The separation is cross-checked against the direct pattern integral in the
+tests.  The profile's closed form is 2 K_{i(mu1-mu2)}(2 e^{-s/2}), the GL(2)
 Whittaker function (Bump, Automorphic Forms and Representations, 1997): the
 tests anchor `pair_profile` against it, and the N = 2 Stade check takes
 its profiles from it.
@@ -29,24 +29,19 @@ import mpmath as mp
 
 from .gamma import gamma_c
 from .qcore import DomainError
-from .quadrature import (
-    QuadratureConfig,
-    QuadResult,
-    integrate_1d,
-    nodes_1d,
-    refine,
-)
+from .quadrature import QuadratureConfig, QuadResult, integrate_1d, nodes_1d, refine
 from .report import VerificationReport, comparison_report
 
 MAX_WHITTAKER_N = 3
 
 
 def _interior_box(x, cfg: QuadratureConfig, pad: float = 5.0):
-    # An entry coupled to the top row x is below e^(-e^pad) outside this
-    # window: pad 5 leaves mass ~1e-64.  The N = 3 row-1 entry couples only
-    # to row 2, whose entries stray a few units past the hull at a cost of
-    # only ~e^-13, so the row-1 tail at pad 5 is ~1e-11: that entry takes
-    # pad 7.  The configured half-width caps the pad.
+    # The N = 3 pattern sum's windows.  A row-2 entry couples to the top row
+    # x and is below e^(-e^pad) outside this window: pad 5 leaves mass
+    # ~1e-64.  The row-1 entry couples only to row 2, whose entries stray a
+    # few units past the hull at a cost of only ~e^-13, so the row-1 tail at
+    # pad 5 is ~1e-11: that entry takes pad 7.  The configured half-width
+    # caps the pad.
     pad = min(cfg.box_halfwidth, pad)
     return (min(x) - pad, max(x) + pad)
 
@@ -54,8 +49,9 @@ def _interior_box(x, cfg: QuadratureConfig, pad: float = 5.0):
 def whittaker_eval(lam, x, cfg: QuadratureConfig | None = None) -> QuadResult:
     """psi_lam(x) for N <= 3 by quadrature over the interior pattern entries.
 
-    N = 1 is the exact exponential e^{i lam_1 x_1}.  The error field carries
-    the last refinement difference.
+    N = 1 is the exact exponential e^{i lam_1 x_1}, N = 2 the center-of-mass
+    phase times `pair_profile` (no box).  The error field carries the last
+    refinement difference.
     """
     x = tuple(mp.mpf(v) for v in x)
     lam = tuple(mp.mpc(v) for v in lam)
@@ -71,19 +67,12 @@ def whittaker_eval(lam, x, cfg: QuadratureConfig | None = None) -> QuadResult:
     if n == 1:
         return QuadResult(mp.exp(1j * lam[0] * x[0]), mp.mpf(0), {"exact": True})
     if n == 2:
-        box = _interior_box(x, cfg)
-        l1, l2 = lam
-        x1, x2 = x
-        # At the integrand's precision: the caller's would round the phase.
+        # s and the phase at the integrand's precision: the caller's would
+        # round them, and the profile's estimate cannot see that.
         with mp.workprec(cfg.integrand_prec()):
-            phase2 = 1j * l2 * (x1 + x2)
-
-        def integrand2(t):
-            return mp.exp(
-                1j * (l1 - l2) * t + phase2 - mp.exp(t - x1) - mp.exp(x2 - t)
-            )
-
-        return integrate_1d(integrand2, box[0], box[1], cfg)
+            phase = mp.exp(1j * (lam[0] + lam[1]) * (x[0] + x[1]) / 2)
+            prof = pair_profile(lam[0], lam[1], x[0] - x[1], cfg)
+            return QuadResult(phase * prof.value, abs(phase) * prof.error, prof.diagnostics)
     return _pattern_quad_3(lam, x, cfg)
 
 
@@ -145,30 +134,48 @@ def _pattern_quad_3(lam, x, cfg: QuadratureConfig) -> QuadResult:
 def pair_profile(mu1, mu2, s, cfg: QuadratureConfig | None = None) -> QuadResult:
     """The reduced N = 2 pattern integral at row separation s:
 
-        integral dt exp(i (mu1 - mu2) t - 2 e^{-s/2} cosh t),
+        integral dt exp(i (mu1 - mu2) t - 2 e^{-s/2} cosh t) = 2 K_{i(mu1-mu2)}(2 e^{-s/2}),
 
     so that psi_(mu1,mu2)(x1, x2) = e^{i (mu1+mu2)(x1+x2)/2} * profile(x1-x2).
+    It is the trapezoid sum on `profile_grid`, refined by halving h; the
+    error field is the last difference |T_h - T_{h/2}|.
     """
     if not all(mp.isfinite(v) for v in (mu1, mu2, s)):
         raise DomainError("mu1, mu2 and s must be finite")
     if cfg is None:
         cfg = QuadratureConfig()
-    # z at the integrand's precision: the caller's would round it, and the
-    # quadrature's error estimate cannot see that.
+    # z and delta at the integrand's precision: the caller's would round
+    # them, and the refinement estimate cannot see that.
     with mp.workprec(cfg.integrand_prec()):
-        mu1, mu2 = mp.mpc(mu1), mp.mpc(mu2)
+        delta = mp.mpc(mu1) - mp.mpc(mu2)
         z = 2 * mp.exp(-mp.mpf(s) / 2)
-    rate = abs(mp.im(mu1 - mu2))  # real growth rate of the phase factor
-    # Box: z cosh(t) must dominate both the target accuracy and the phase growth.
-    need = -mp.log(mp.mpf(cfg.target_rel_error)) + 45
-    tmax = mp.log(2 * need / z + 3) + 1
-    for _ in range(3):
+
+        def value_at(level):
+            h, omegas = profile_grid(z, cfg.target_rel_error, abs(delta),
+                                     abs(mp.im(delta)), level)
+            return mp.fsum(omega * mp.cos(m * h * delta) for m, omega in enumerate(omegas))
+
+        return refine(value_at, range(cfg.max_depth), cfg, "profile sum")
+
+
+def profile_grid(z, target: float, delta_max, rate=0, level: int = 0):
+    """(h, omegas) with 2 K_{i delta}(z) = sum_m omega_m cos(m h delta): the
+    trapezoid rule for integral e^{i delta t - z cosh t} dt on t = m h, folded
+    onto m >= 0, so omega_0 = h e^{-z} and omega_m = 2 h e^{-z cosh(m h)} up
+    to t = tmax.  The integrand is analytic for |Im t| < pi/2, so the error
+    falls like e^{-pi^2/h + pi |delta|/2} (Trefethen & Weideman, SIAM Rev.
+    2014), below e^{-need} out to |delta| = delta_max.  tmax outruns the
+    phase's growth e^{rate |t|}, rate = |Im delta|; each level halves h.
+    The N = 2 profile and the spectral sum's chi grid both sum on it."""
+    need = -mp.log(mp.mpf(target)) + 20
+    tmax = 0
+    for _ in range(4):
         tmax = mp.log(2 * (need + rate * tmax) / z + 3) + 1
-
-    def integrand(t):
-        return mp.exp(1j * (mu1 - mu2) * t - z * mp.cosh(t))
-
-    return integrate_1d(integrand, -tmax, tmax, cfg)
+    h = mp.pi ** 2 / (mp.mpf(1.5) * mp.pi * delta_max + need) / 2**level
+    steps = int(mp.ceil(float(tmax) / h))
+    omegas = [h * mp.exp(-z)]
+    omegas += [2 * h * mp.exp(-z * mp.cosh(m * h)) for m in range(1, steps + 1)]
+    return h, omegas
 
 
 # ---------------------------------------------------------------------------

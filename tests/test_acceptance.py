@@ -17,7 +17,7 @@ STATED_TOLERANCES = {
     5: "N=1 rel err < 1e-8; N=2 rel err < 1e-4",
     6: "N=1 rel err < 1e-6; N=2 rel err < 1e-3",
     7: "strictly decreasing ladders; sweep halved",
-    8: "reflection 1e-12; bracket x2; Whittaker mirror / Weyl permutation 1e-8",
+    8: "reflection 1e-12; bracket x2; Whittaker K-Bessel / Weyl permutation 1e-8",
 }
 
 # Criteria whose checks take their default tolerance, by N.

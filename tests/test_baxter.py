@@ -9,7 +9,6 @@ import qwlab.whittaker
 from qwlab.baxter import (
     TestFunction as CutoffFunction,
     _bent_contour,
-    _chi_grid,
     _rank8_pair_sum,
     baxter_eigen_check,
     contour_apply,
@@ -21,7 +20,13 @@ from qwlab.baxter import (
 from qwlab.gamma import gamma_c
 from qwlab.qcore import DomainError
 from qwlab.quadrature import QuadratureConfig, nodes_1d
-from qwlab.whittaker import pair_coupling, pair_profile, stade_check, whittaker_eval
+from qwlab.whittaker import (
+    pair_coupling,
+    pair_profile,
+    profile_grid,
+    stade_check,
+    whittaker_eval,
+)
 
 
 def setup_function(_fn):
@@ -351,16 +356,21 @@ def test_spectral_pair_sum_matches_direct_pair_loop(prec):
 
 @pytest.mark.parametrize("s", [-1.5, 0.6, 3.0])
 def test_chi_grid_matches_k_bessel(s):
-    # Criterion 6's grid (target 1e-5, T = 12) out to delta = 2T: the
-    # trapezoid rule's error is far below the weights' rounding there.
+    # The one profile grid, at criterion 6's chi grid (target 1e-5, T = 12,
+    # rate 0, level 0) out to delta = 2T, and with growth rate 0.6 at levels
+    # 0-2 for complex delta, |Im delta| <= 0.6: the trapezoid rule's error
+    # is far below the weights' rounding there.
     prec = 64
-    with mp.workprec(prec):
-        z = 2 * mp.exp(-mp.mpf(s) / 2)
-        h, omegas = _chi_grid(z, 1e-5, 24)
-    with mp.workprec(prec + 40):
-        for delta in (mp.mpf(k) / 4 for k in range(97)):
-            chi = mp.fsum(omega * mp.cos(m * h * delta) for m, omega in enumerate(omegas))
-            assert abs(chi - 2 * mp.besselk(1j * delta, z)) <= 4 * mp.mpf(2) ** -prec, delta
+    for level, rate in ((0, 0), (0, 0.6), (1, 0.6), (2, 0.6)):
+        with mp.workprec(prec):
+            z = 2 * mp.exp(-mp.mpf(s) / 2)
+            h, omegas = profile_grid(z, 1e-5, 24, rate, level)
+        with mp.workprec(prec + 40):
+            for k in range(97):
+                delta = mp.mpc(mp.mpf(k) / 4, rate * (1, 0.5, -1, 0)[k % 4])
+                chi = mp.fsum(omega * mp.cos(m * h * delta) for m, omega in enumerate(omegas))
+                assert abs(chi - 2 * mp.besselk(1j * delta, z)) <= 4 * mp.mpf(2) ** -prec, \
+                    (level, delta)
 
 
 # (rhs, quad_error) of criterion 6's inputs at each line height, as the

@@ -17,7 +17,7 @@ from qwlab.quadrature import (
     integrate_1d,
     refine,
 )
-from qwlab.whittaker import whittaker_eval
+from qwlab.whittaker import pair_profile, whittaker_eval
 
 
 @pytest.fixture(params=[GAUSS_LEGENDRE])  # the param names the rule in the test ids
@@ -132,7 +132,8 @@ def _spectral_pair_sum():
     ("contour quadrature", lambda: contour_apply(CutoffFunction("constant"), (0.3 - 0.2j,),
                                                  1, 1.0, ONE_LEVEL)),
     ("spectral quadrature", _spectral_pair_sum),
-], ids=["1-d", "2-d", "pattern", "contour", "spectral"])
+    ("profile sum", lambda: pair_profile(0.5, -0.2, 0.6, ONE_LEVEL)),
+], ids=["1-d", "2-d", "pattern", "contour", "spectral", "profile"])
 def test_every_refined_sum_needs_two_levels(label, run):
     with pytest.raises(QuadratureError, match=label):
         run()

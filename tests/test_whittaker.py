@@ -181,10 +181,12 @@ def test_whittaker_permutation_invariance_pair():
 
 
 def test_whittaker_box_doubling_within_error():
-    lam, x = (0.5, -0.2), (0.3, -0.3)
-    r1 = whittaker_eval(lam, x, QuadratureConfig(box_halfwidth=4.5,
+    # N = 3 at criterion 8's point: the N = 2 profile has no box.  Box 6
+    # caps the row-1 pad at 6 instead of 7.
+    lam, x = (0.5, 0.1, -0.4), (0.4, 0.0, -0.4)
+    r1 = whittaker_eval(lam, x, QuadratureConfig(box_halfwidth=6.0,
                                                  target_rel_error=1e-10))
-    r2 = whittaker_eval(lam, x, QuadratureConfig(box_halfwidth=9.0,
+    r2 = whittaker_eval(lam, x, QuadratureConfig(box_halfwidth=12.0,
                                                  target_rel_error=1e-10))
     assert abs(r1.value - r2.value) <= r1.error + r2.error + mp.mpf("1e-20")
 
