@@ -14,7 +14,14 @@ integrand's xi_j-poles all sit at heights Im(xi) = Re(w_i), below the bend
 corners, and to the left of Re(xi) = a in the working regime
 -a < Im(w_i) < 0.  (For Im(w_i) < -a some poles would sit on the wrong
 side of the line and the printed identity genuinely fails, so that regime
-is rejected.)
+is rejected.)  The bent line has three legs: the lower 45-degree ray, the
+vertical segment [a - i S0, a + i S0], S0 = max |Re w_i| + 3, and the upper
+ray, each of length R sized from the target and u.  B is linear in the
+nodes, so B = B_lower + B_vertical + B_upper, and the legs are refined
+independently: the rays, where the integrand decays super-exponentially,
+usually stop one level after the start while the vertical segment goes on.
+The ray length grows like u/e once u > 1, so u whose rays would exceed a
+fixed budget of level-0 nodes (`RAY_NODE_BUDGET`) is rejected.
 
 Separable pair kernels.  Both multiple integrals are sums over one node
 set with a pair factor of xi_i - xi_j, and both pair factors split exactly
@@ -63,7 +70,7 @@ from mpmath.libmp import mpf_cos_sin, mpf_mul, to_fixed
 
 from .gamma import GammaPoleError, gamma_c
 from .qcore import DomainError, QwlabError, compositions_of_weight
-from .quadrature import QuadratureConfig, QuadResult, nodes_1d, refine
+from .quadrature import GL_ORDER, QuadratureConfig, QuadResult, nodes_1d, refine
 from .report import VerificationReport, comparison_report
 from .whittaker import profile_grid, whittaker_eval
 
@@ -128,7 +135,11 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
 
     The caller passes u with the sign demanded by the identity under test.
     The Gamma ratios are built by recurrence, so no Gamma evaluations are
-    needed; the error field carries the magnitude of the last two shells.
+    needed.  The series stops at shell k <= cap once shells k - 1 and k both
+    fall below 2^-prec |total| at the working precision prec; cap is only
+    the upper bound, and the Gamma-pole check still covers every shell up
+    to cap.  The error field carries the magnitude of the last two shells
+    summed, and the diagnostics hold cap, stop_shell (k) and last_shells.
     """
     w = tuple(mp.mpc(v) for v in w)
     u = mp.mpc(u)
@@ -165,6 +176,7 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
     total = mp.mpc(0)
     shell_mags = []
     upow = mp.mpc(1)
+    unit = mp.mpf(2) ** -mp.mp.prec
     for k in range(cap + 1):
         shell = mp.mpc(0)
         for nu in compositions_of_weight(k, n):
@@ -180,9 +192,12 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
             shell = shell + cross * ratio * f(tuple(w[i] + 1j * nu[i] for i in range(n)))
         total = total + upow * shell
         shell_mags.append(abs(upow * shell))
+        if k and max(shell_mags[-2:]) < unit * abs(total):
+            break
         upow = upow * u
     tail = shell_mags[-1] + (shell_mags[-2] if len(shell_mags) > 1 else mp.mpf(0))
-    return QuadResult(total, tail, {"cap": cap, "last_shells": shell_mags[-2:]})
+    return QuadResult(total, tail, {"cap": cap, "stop_shell": k,
+                                    "last_shells": shell_mags[-2:]})
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +205,21 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
 # ---------------------------------------------------------------------------
 
 
-def _bent_contour(w, a: float, u: float, cfg: QuadratureConfig, level: int,
-                  prec: int):
-    """Node/weight pairs (xi, W) along the bent line: vertical on
-    [a - i S0, a + i S0], then rays into the left half-plane at 45 degrees.
-    Oriented upward; W includes d(xi)."""
+RAY_NODE_BUDGET = 2048
+
+
+def _bent_contour(w, a: float, u: float, cfg: QuadratureConfig, prec: int):
+    """The bent line as three legs, oriented upward: the lower ray from its
+    far end into the corner a - i S0, the vertical segment [a - i S0, a + i S0],
+    and the upper ray from a + i S0 into the left half-plane at 45 degrees.
+    Returns (legs, height): each leg maps a refinement level to its node/weight
+    pairs (xi, W), W including d(xi), and height bounds |Im xi| on the whole
+    contour.
+
+    The ray length R grows like u/e once u > 1.  A ray whose level-0 rule
+    would take more than RAY_NODE_BUDGET = 2048 nodes (R > 512, reached
+    near u = 1100 at target 1e-9) is rejected with DomainError before any
+    node is built."""
     s0 = max(abs(mp.re(wi)) for wi in w) + 3.0 if w else 3.0
     # On the 45-degree rays each Gamma factor decays like
     # exp(-(r/sqrt 2)(log r + 3pi/4 - 1)); size the tail against that,
@@ -204,19 +229,22 @@ def _bent_contour(w, a: float, u: float, cfg: QuadratureConfig, level: int,
     R = 8.0
     while (R / math.sqrt(2)) * (math.log(R) + 1.0 - u_penalty) < need:
         R *= 1.25
+        if math.ceil(R / 3) * GL_ORDER > RAY_NODE_BUDGET:
+            raise DomainError(
+                f"u = {u} needs contour rays longer than {R:.4g}, beyond the "
+                f"budget of {RAY_NODE_BUDGET} level-0 nodes per ray")
     e_up = mp.mpc(-1, 1) / mp.sqrt(2)
     e_low = mp.mpc(-1, -1) / mp.sqrt(2)
-    corner_up = mp.mpc(a, s0)
-    corner_low = mp.mpc(a, -s0)
-    out = []
-    # Lower ray traversed from the far end to the corner: -e_low direction.
-    for t, wt in nodes_1d(level, 0, R, prec):
-        out.append((corner_low + t * e_low, -wt * e_low))
-    for s, wt in nodes_1d(level, -s0, s0, prec):
-        out.append((mp.mpc(a, 0) + 1j * s, wt * 1j))
-    for t, wt in nodes_1d(level, 0, R, prec):
-        out.append((corner_up + t * e_up, wt * e_up))
-    return out
+
+    def leg(origin, direction, lo, hi, orientation):
+        return lambda level: [(origin + t * direction, wt * orientation)
+                              for t, wt in nodes_1d(level, lo, hi, prec)]
+
+    # The lower ray is traversed from the far end to the corner: -e_low.
+    legs = (leg(mp.mpc(a, -s0), e_low, 0, R, -e_low),
+            leg(mp.mpc(a, 0), mp.mpc(0, 1), -s0, s0, mp.mpc(0, 1)),
+            leg(mp.mpc(a, s0), e_up, 0, R, e_up))
+    return legs, s0 + R / math.sqrt(2)
 
 
 def _check_contour_regime(w, a: float):
@@ -237,8 +265,13 @@ def contour_apply(f: TestFunction, w, u, a: float,
         s_N(xi) u^{sum_i (i w_i - xi_i)} prod_{i,j} Gamma(xi_j - i w_i) f(-i xi).
 
     Requires a TestFunction f analytic and bounded on {Im v >= -a}, u > 0,
-    a > 0, -a < Im(w_i), and N <= 3.  Every N takes the Andreief sum
-    (`_andreief_sum`) of the product integrand.
+    a > 0, -a < Im(w_i), and N <= 3.  Every N takes the Andreief
+    determinant (`_andreief_det`) of the product integrand.  The three legs
+    of `_bent_contour` are refined as separate parts of one value: each leg's
+    matrix B_leg is built once per level, the value is det(sum of B_leg), and
+    only the leg whose drop by one level moves the value most is refined
+    further.  The diagnostics' part_levels gives the levels each leg took
+    (lower ray, vertical segment, upper ray).
     """
     if not isinstance(f, TestFunction):
         raise DomainError("the contour form needs a product TestFunction")
@@ -268,12 +301,23 @@ def contour_apply(f: TestFunction, w, u, a: float,
                 g = g * gamma_c(xi - 1j * wi)
             return g * f.axis_value(-1j * xi)
 
-        def value_at(level):
-            nodes = _bent_contour(w, a, float(u), cfg, level, prec)
-            gvals = [(xi, wt * axis_factor(xi)) for xi, wt in nodes]
-            return uw * _andreief_sum(gvals, n, prec) / (2j * mp.pi) ** n
+        legs, height = _bent_contour(w, a, float(u), cfg, prec)
+        guard = prec + _guard_bits(height * (n * n // 2) / 2)
 
-        return refine(value_at, range(cfg.max_depth), cfg, "contour quadrature")
+        def leg_matrix(leg):
+            def matrix_at(level):
+                gvals = [(xi, wt * axis_factor(xi)) for xi, wt in leg(level)]
+                with mp.workprec(guard):
+                    return _andreief_matrix(gvals, n)
+            return matrix_at
+
+        def combine(matrices):
+            with mp.workprec(guard):
+                det = _andreief_det(matrices, n)
+            return uw * det / (2j * mp.pi) ** n
+
+        return refine([leg_matrix(leg) for leg in legs], range(cfg.max_depth), cfg,
+                      "contour quadrature", combine)
 
 
 def _guard_bits(height) -> int:
@@ -282,24 +326,30 @@ def _guard_bits(height) -> int:
     return math.ceil(2 * math.pi * float(height) * math.log2(math.e))
 
 
-def _andreief_sum(gvals, n: int, prec: int):
+def _andreief_matrix(gvals, n: int):
+    """B_kl = sum_j g_j xi_j^k e^{i pi (2l-N+1) xi_j} over the (xi_j, g_j) of
+    `gvals`, in node order at the working precision."""
+    B = [[mp.mpc(0)] * n for _ in range(n)]
+    for xi, g in gvals:
+        phases = [mp.expjpi((2 * l - n + 1) * xi) for l in range(n)]
+        for row in B:
+            for l, phase in enumerate(phases):
+                row[l] += g * phase
+            g = g * xi
+    return B
+
+
+def _andreief_det(matrices, n: int):
     """(1/N!) sum over node N-tuples of prod_j g_j prod_{i<j} pair_coupling(xi_i - xi_j),
-    exactly as
+    the nodes those of every leg, exactly as
 
-        (-1/(2 pi i))^M det B,  B_kl = sum_j g_j xi_j^k e^{i pi (2l-N+1) xi_j},
+        (-1/(2 pi i))^M det B,  B = sum of the legs' `_andreief_matrix`,
 
-    with M = N(N-1)/2 (Andreief's identity).  B is built in node order at
-    prec plus the guard bits of e^{pi floor(N^2/2) H}, H the largest |Im xi|."""
-    height = max(abs(mp.im(xi)) for xi, _ in gvals)
-    with mp.workprec(prec + _guard_bits(height * (n * n // 2) / 2)):
-        B = [[mp.mpc(0)] * n for _ in range(n)]
-        for xi, g in gvals:
-            phases = [mp.expjpi((2 * l - n + 1) * xi) for l in range(n)]
-            for row in B:
-                for l, phase in enumerate(phases):
-                    row[l] += g * phase
-                g = g * xi
-        return (-1 / (2j * mp.pi)) ** (n * (n - 1) // 2) * mp.det(B)
+    with M = N(N-1)/2 (Andreief's identity).  The caller sets the working
+    precision: prec plus the guard bits of e^{pi floor(N^2/2) H}, H the
+    contour's height."""
+    B = [[sum(m[k][l] for m in matrices) for l in range(n)] for k in range(n)]
+    return (-1 / (2j * mp.pi)) ** (n * (n - 1) // 2) * mp.det(B)
 
 
 def lemma1_check(f: TestFunction, w, u, a: float,
@@ -311,7 +361,8 @@ def lemma1_check(f: TestFunction, w, u, a: float,
     that defaults to 1e-8 at N = 1 and 1e-6 at N >= 2.  A negative cap is
     rejected before either form runs; the contour form runs first, so an
     input outside its domain is rejected before any residue shell is
-    summed."""
+    summed.  The diagnostics carry the residue tail and stop shell and the
+    contour's error estimate."""
     if cap < 0:
         raise DomainError("cap must be >= 0")
     if tolerance is None:
@@ -325,7 +376,9 @@ def lemma1_check(f: TestFunction, w, u, a: float,
         lhs=res.value,
         rhs=con.value,
         tolerance=tolerance,
-        diagnostics={"residue_tail": res.error, "contour_error": con.error},
+        diagnostics={"residue_tail": res.error,
+                     "residue_stop_shell": res.diagnostics["stop_shell"],
+                     "contour_error": con.error},
     )
 
 

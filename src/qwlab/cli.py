@@ -119,7 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=_complexes, default=(-0.5j, 1 - 0.6j))
     p.add_argument("--u", type=_float, default=1.0)
     p.add_argument("--a", type=_float, default=1.0)
-    p.add_argument("--truncation", type=int, default=40, help="residue shell cap")
+    p.add_argument("--truncation", type=int, default=40,
+                   help="residue shell cap: the series stops earlier once two successive "
+                        "shells fall below 2^-prec of the sum")
 
     p = sub.add_parser("verify-stade", help="cutoff integral of two Whittaker functions vs Gamma product")
     common(p, tolerance=True)

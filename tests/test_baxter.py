@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import mpmath as mp
 import pytest
@@ -54,8 +55,10 @@ def test_test_function_kinds_validated():
 
 def test_residue_cap_zero_returns_f():
     f = CutoffFunction("product-pole", b=3.0)
-    res = residue_apply(f, W1, -1.0, cap=0)
-    assert abs(res.value - f(W1)) == 0
+    for w in (W1, W3):
+        res = residue_apply(f, w, -1.0, cap=0)
+        assert abs(res.value - f(w)) == 0
+        assert res.diagnostics["stop_shell"] == 0
 
 
 def test_residue_constant_closed_form():
@@ -99,6 +102,17 @@ def test_residue_rejects_degenerate_w():
     with pytest.raises(DomainError):
         residue_apply(CutoffFunction("constant"),
                       (mp.mpc(0, -0.2), mp.mpc(0, -1.2)), -1.0, cap=5)
+
+
+def test_residue_pole_check_covers_every_shell_to_cap():
+    # w_1 - w_0 = 25i puts a Gamma pole at shell 25 of the shift ladder.  At
+    # u = 1e-3 the series stops long before that shell, yet the pole is
+    # still caught whenever cap reaches it.
+    f = CutoffFunction("product-pole", b=3.0)
+    w = (mp.mpc(0.3, -0.5), mp.mpc(0.3, 24.5))
+    assert residue_apply(f, w, -1e-3, cap=24).diagnostics["stop_shell"] < 15
+    with pytest.raises(DomainError, match="Gamma pole"):
+        residue_apply(f, w, -1e-3, cap=25)
 
 
 def test_contour_single_variable_closed_form():
@@ -226,8 +240,11 @@ W2 = (mp.mpc(0, -0.5), mp.mpc(1, -0.6))
 
 def _pairwise_contour(f, w, u, a, cfg):
     """The N = 2 contour form as the O(n^2) sum over node pairs of the bent
-    contour, with pair_coupling as the pair factor, at levels 0 and 1:
-    returns level 1's value and its distance from level 0's."""
+    contour, with pair_coupling as the pair factor, every leg at level 1:
+    returns that value and the sum over legs of its distance from the value
+    with that leg at level 0.  The pair factor is even, so the pair sum over
+    the joined legs is the sum over leg pairs of their cross sums, and each
+    cross sum is taken once."""
     w = tuple(mp.mpc(v) for v in w)
     prec = cfg.working_prec()
     with mp.workprec(prec):
@@ -237,23 +254,41 @@ def _pairwise_contour(f, w, u, a, cfg):
         for wi in w:
             uw = uw * u ** (1j * wi)
 
-        def value_at(level):
-            gvals = []
-            for xi, wt in _bent_contour(w, a, float(u), cfg, level, prec):
+        def gvals(nodes):
+            out = []
+            for xi, wt in nodes:
                 g = mp.exp(-xi * log_u)
                 for wi in w:
                     g = g * gamma_c(xi - 1j * wi)
-                gvals.append((xi, wt * g))
+                out.append((xi, wt * g))
+            return out
+
+        legs, _ = _bent_contour(w, a, float(u), cfg, prec)
+        nodes = [[gvals(leg(level)) for level in (0, 1)] for leg in legs]
+        cross = {}
+
+        def pair_sum(i, k, j, l):
+            key = min((i, k, j, l), (j, l, i, k))
+            if key not in cross:
+                acc = mp.mpc(0)
+                for xi1, gw1 in nodes[i][k]:
+                    inner = mp.mpc(0)
+                    for xi2, gw2 in nodes[j][l]:
+                        inner += gw2 * pair_coupling(xi1 - xi2) * f((-1j * xi1, -1j * xi2))
+                    acc += gw1 * inner
+                cross[key] = acc
+            return cross[key]
+
+        def value(at):
             acc = mp.mpc(0)
-            for xi1, gw1 in gvals:
-                inner = mp.mpc(0)
-                for xi2, gw2 in gvals:
-                    inner += gw2 * pair_coupling(xi1 - xi2) * f((-1j * xi1, -1j * xi2))
-                acc += gw1 * inner
+            for i in range(3):
+                for j in range(3):
+                    acc += pair_sum(i, at[i], j, at[j])
             return uw * acc / ((2j * mp.pi) ** 2 * 2)
 
-        coarse, fine = value_at(0), value_at(1)
-        return +fine, +abs(fine - coarse)
+        fine = value((1, 1, 1))
+        error = sum(abs(fine - value(tuple(int(j != i) for j in range(3)))) for i in range(3))
+        return +fine, +error
 
 
 @pytest.mark.parametrize("prec", [100, 200])
@@ -261,8 +296,9 @@ def _pairwise_contour(f, w, u, a, cfg):
                                CutoffFunction("exp-cutoff", c=0.3)],
                          ids=lambda f: f.kind)
 def test_separable_pair_sum_matches_pairwise_oracle(f, prec):
-    # Two levels: the value is level 1's sum, the error its distance from
-    # level 0's.  The oracle sums the same nodes pair by pair.
+    # Two levels per leg: the value is the sum with every leg at level 1,
+    # the error the sum of each leg's distance from level 0.  The oracle
+    # sums the same nodes pair by pair.
     cfg = QuadratureConfig(target_rel_error=1e-3, max_depth=2, prec_bits=prec)
     separable = contour_apply(f, W2, 1.0, 1.0, cfg)
     value, error = _pairwise_contour(f, W2, 1.0, 1.0, cfg)
@@ -274,6 +310,65 @@ def test_separable_pair_sum_matches_pairwise_oracle(f, prec):
 
 W3 = (mp.mpc(0, -0.5), mp.mpc(0.5, -0.4), mp.mpc(1, -0.3))
 CFG3 = QuadratureConfig(target_rel_error=1e-8)
+POLE = CutoffFunction("product-pole", b=3.0)
+CRITERION_4_W = {2: W2, 3: W3}
+
+
+@lru_cache(maxsize=None)
+def _full_residue(n):
+    """Criterion 4's residue series at N = n (product-pole f, u = -1, cap 40)
+    at 400 bits, where the stop rule lets every shell above 2^-400 in: the
+    full cap-40 sum, its tail below 1e-100."""
+    with mp.workprec(400):
+        return residue_apply(POLE, CRITERION_4_W[n], -1.0, cap=40)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_residue_series_stops_at_working_precision(n):
+    with mp.workprec(100):
+        res = residue_apply(POLE, CRITERION_4_W[n], -1.0, cap=40)
+    stop = res.diagnostics["stop_shell"]
+    assert stop < 40
+    full = _full_residue(n)
+    assert full.error < 1e-100
+    # The shells the stop drops, measured at 400 bits: the 100-bit sum's own
+    # rounding (a few units of 2^-100) is not the stop's doing.
+    with mp.workprec(400):
+        head = residue_apply(POLE, CRITERION_4_W[n], -1.0, cap=stop)
+        assert head.diagnostics["stop_shell"] == stop
+        assert abs(full.value - head.value) <= mp.mpf(2) ** -100 * abs(full.value)
+
+
+# Three points in the ranges the benchmark's contour workload draws its
+# N = 1 inputs from: u in [0.5, 1.5], Re w in [-0.5, 0.5], Im w in
+# [-0.8, -0.2], a in [1, 1.5].
+@pytest.mark.parametrize("u, w, a", [(1.0, -0.5j, 1.0), (0.5, 0.3 - 0.2j, 1.2),
+                                     (1.5, -0.4 - 0.8j, 1.5)])
+def test_contour_estimate_bounds_error_against_closed_form(u, w, a):
+    con = contour_apply(CutoffFunction("constant"), (w,), u, a)
+    with mp.workprec(128):
+        assert abs(con.value - mp.exp(-mp.mpf(u))) <= con.error
+    # Both rays stop one level after the start; the vertical segment refines.
+    lower, vertical, upper = con.diagnostics["part_levels"]
+    assert (lower, upper) == (2, 2) and vertical > 2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_contour_estimate_bounds_error_against_residue_series(n):
+    con = contour_apply(POLE, CRITERION_4_W[n], 1.0, 1.0, CFG3)
+    with mp.workprec(400):
+        assert abs(con.value - _full_residue(n).value) <= con.error
+
+
+def test_contour_rejects_u_beyond_the_ray_budget():
+    cfg = QuadratureConfig(target_rel_error=1e-9)
+    legs, height = _bent_contour(W1, 1.0, 1e3, cfg, 64)
+    assert len(legs) == 3 and height > 300
+    for u in (2e3, 1e30, 1e300):
+        with pytest.raises(DomainError, match="budget"):
+            _bent_contour(W1, 1.0, u, cfg, 64)
+    with pytest.raises(DomainError, match="budget"):
+        contour_apply(CutoffFunction("constant"), W1, 1e30, 1.0)
 
 
 @pytest.mark.parametrize("f", [CutoffFunction("constant"),

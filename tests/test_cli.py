@@ -82,6 +82,21 @@ def test_non_finite_limit_argument_exits_2_promptly():
     assert "argument --u: invalid" in done.stderr
 
 
+def test_huge_u_on_the_contour_exits_2_promptly():
+    # The contour rays grow like u/e, so u = 1e30 once built nodes until the
+    # memory ran out; a subprocess lets a hang fail this test instead.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-m", "qwlab.cli", "verify-lemma1", "--kind", "constant",
+         "--w=-0.5j", "--u", "1e30", "--a", "1"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 2
+    assert (done.stdout, done.stderr.split(":")[0]) == ("", "error")
+    assert "budget" in done.stderr
+
+
 def test_domain_error_reports_exit_2(capsys):
     for argv in (["verify-stade", "--u", "-1", "--lambda", "0.7", "--nu", "0.6"],
                  ["verify-noumi", "--n", "0", "--lambda="],
