@@ -20,8 +20,10 @@ ray, each of length R sized from the target and u.  B is linear in the
 nodes, so B = B_lower + B_vertical + B_upper, and the legs are refined
 independently: the rays, where the integrand decays super-exponentially,
 usually stop one level after the start while the vertical segment goes on.
-The ray length grows like u/e once u > 1, so u whose rays would exceed a
-fixed budget of level-0 nodes (`RAY_NODE_BUDGET`) is rejected.
+The ray length grows like u/e once u > 1 and the segment's like 2 max |Re w_i|,
+so a leg that would exceed a fixed budget of level-0 nodes
+(`RAY_NODE_BUDGET`) is rejected: u beyond about 1100 at target 1e-9, or
+|Re w_i| beyond about 250.
 
 Separable pair kernels.  Both multiple integrals are sums over one node
 set with a pair factor of xi_i - xi_j, and both pair factors split exactly
@@ -216,11 +218,16 @@ def _bent_contour(w, a: float, u: float, cfg: QuadratureConfig, prec: int):
     pairs (xi, W), W including d(xi), and height bounds |Im xi| on the whole
     contour.
 
-    The ray length R grows like u/e once u > 1.  A ray whose level-0 rule
-    would take more than RAY_NODE_BUDGET = 2048 nodes (R > 512, reached
-    near u = 1100 at target 1e-9) is rejected with DomainError before any
-    node is built."""
+    The ray length R grows like u/e once u > 1, and the segment has length
+    2 S0.  A leg whose level-0 rule would take more than RAY_NODE_BUDGET =
+    2048 nodes is rejected with DomainError before any node is built: a ray
+    with R > 512, reached near u = 1100 at target 1e-9, or the segment once
+    S0 > 255, that is |Re w_i| beyond about 250."""
     s0 = max(abs(mp.re(wi)) for wi in w) + 3.0 if w else 3.0
+    if math.ceil(2 * float(s0) / 3) * GL_ORDER > RAY_NODE_BUDGET:
+        raise DomainError(
+            f"max |Re w| = {float(s0) - 3:.4g} needs a contour segment of length "
+            f"{2 * float(s0):.4g}, beyond the budget of {RAY_NODE_BUDGET} level-0 nodes per leg")
     # On the 45-degree rays each Gamma factor decays like
     # exp(-(r/sqrt 2)(log r + 3pi/4 - 1)); size the tail against that,
     # minus the u^{-xi} growth when u > 1.
@@ -265,7 +272,9 @@ def contour_apply(f: TestFunction, w, u, a: float,
         s_N(xi) u^{sum_i (i w_i - xi_i)} prod_{i,j} Gamma(xi_j - i w_i) f(-i xi).
 
     Requires a TestFunction f analytic and bounded on {Im v >= -a}, u > 0,
-    a > 0, -a < Im(w_i), and N <= 3.  Every N takes the Andreief
+    a > 0, -a < Im(w_i), and N <= 3; u beyond about 1100 (at target 1e-9)
+    or |Re w_i| beyond about 250 exceeds the legs' node budget and raises
+    DomainError (`_bent_contour`).  Every N takes the Andreief
     determinant (`_andreief_det`) of the product integrand.  The three legs
     of `_bent_contour` are refined as separate parts of one value: each leg's
     matrix B_leg is built once per level, the value is det(sum of B_leg), and

@@ -14,9 +14,14 @@ bugs in any one route cannot pass unnoticed:
 All three run over exact rationals; agreement is checked exactly in the
 test suite.  Points, parameters and coefficients must be exact rationals
 (int or Fraction); anything else raises DomainError.  The hot arithmetic
-runs on integers and builds one Fraction per result: a monomial is summed
-as prod_i a_i^alpha_i b_i^(d - alpha_i) over its exponent vectors at
-z_i = a_i/b_i, the linear solve is Bareiss fraction-free elimination, and
+runs on integers and builds one Fraction per result.  `_scaled_monomials`
+is the one shifted-monomial kernel: at z_i = a_i/b_i and q = c/e it sums
+prod_i a_i^alpha_i b_i^(d - alpha_i) c^(nu.alpha) e^(|nu| d - nu.alpha) over
+the exponent vectors alpha of m_mu, which is m_mu(q^nu z) times
+prod_i b_i^d e^(|nu| d), for a list of shifts nu at once.  Plain evaluation
+takes the zero shift, D1 its unit shifts (D_r would take the 0/1 vectors
+with r ones), and the q-integral operator of `noumi` every composition of
+each order.  The linear solve is Bareiss fraction-free elimination, and
 each Gram entry is one integer dot product of (q,t)-free products, built
 once per degree, with the power-sum norms over one common denominator.
 """
@@ -172,54 +177,60 @@ def _exponents(mu: tuple, n: int) -> tuple:
     return tuple(sorted(set(itertools.permutations(mu + (0,) * (n - len(mu))))))
 
 
-def _scaled_monomials(mus, nums, dens, d: int) -> list:
-    """m_mu(z) * prod_i b_i^d for each mu, as integers, where z_i = a_i/b_i
-    and every |mu| <= d: the sum over exponent vectors alpha of m_mu of
-    prod_i a_i^alpha_i b_i^(d - alpha_i)."""
+def _scaled_monomials(mus, nums, dens, d: int, ratio, shifts) -> list:
+    """The shifted-monomial kernel.  At the point z_i = a_i/b_i (nums, dens),
+    the ratio q = c/e (ratio = (c, e)) and a degree d >= every |mu|, returns
+    one row per shift nu in shifts, holding for each mu the integer
+
+        sum_{alpha in E(mu)} prod_i a_i^alpha_i b_i^(d - alpha_i) c^(nu.alpha) e^(|nu| d - nu.alpha)
+        = m_mu(q^nu z) * prod_i b_i^d * e^(|nu| d),
+
+    E(mu) being the exponent vectors of m_mu.  Each exponent term is built
+    once and reused for every shift; the zero shift gives m_mu(z) prod_i b_i^d."""
     n = len(nums)
-    cols = [[a**e * b ** (d - e) for e in range(d + 1)] for a, b in zip(nums, dens)]
-    out = []
-    for mu in mus:
-        total = 0
-        if len(mu) <= n:
-            for alpha in _exponents(mu, n):
-                term = 1
-                for col, e in zip(cols, alpha):
-                    term *= col[e]
-                total += term
-        out.append(total)
-    return out
+    c, e = ratio
+    cols = [[a**k * b ** (d - k) for k in range(d + 1)] for a, b in zip(nums, dens)]
+    # factors[|nu|][s] = c^s e^(|nu| d - s), shared by the shifts of one weight
+    factors = {}
+    for size in {sum(nu) for nu in shifts}:
+        top = size * d
+        factors[size] = [c**s * e ** (top - s) for s in range(top + 1)]
+    rows = [([0] * len(mus), nu, factors[sum(nu)]) for nu in shifts]
+    for k, mu in enumerate(mus):
+        if len(mu) > n:
+            continue
+        for alpha in _exponents(mu, n):
+            term = 1
+            for col, x in zip(cols, alpha):
+                term *= col[x]
+            for row, nu, fac in rows:
+                row[k] += term * fac[sum(map(operator.mul, nu, alpha))]
+    return [row for row, _, _ in rows]
 
 
-def monomial_values(mus, z) -> list:
-    """[m_mu(z) for mu in mus] at a point of exact rationals, as Fractions."""
-    nums, dens = rational_parts(z)
-    mus = [trim(mu) for mu in mus]
+def _scaled_values(f: SymmetricPolynomial, nums, dens, ratio, shifts) -> tuple:
+    """f(q^nu z) for each nu in shifts, on integers from one kernel call:
+    returns (values, scale, d) with f(q^nu z) = values[s] / (scale e^(|nu| d)),
+    where z_i = a_i/b_i, q = c/e (ratio = (c, e)), d is the degree of f and
+    scale is prod_i b_i^d times the lcm of f's coefficient denominators."""
+    if len(nums) != f.nvars:
+        raise DomainError(f"arity mismatch: polynomial in {f.nvars} vars, point has {len(nums)}")
+    mus = sorted(f.terms)
+    coeff_nums, coeff_dens = rational_parts(f.terms[mu] for mu in mus)
     d = max((weight(mu) for mu in mus), default=0)
-    scale = math.prod(dens) ** d
-    return [Fraction(s, scale) for s in _scaled_monomials(mus, nums, dens, d)]
-
-
-def monomial_value(mu, z) -> Fraction:
-    """m_mu(z): sum of z^alpha over distinct permutations alpha of mu."""
-    return monomial_values((mu,), z)[0]
+    common = math.lcm(*coeff_dens)
+    coeffs = [p * (common // c) for p, c in zip(coeff_nums, coeff_dens)]
+    rows = _scaled_monomials(mus, nums, dens, d, ratio, shifts)
+    values = [sum(map(operator.mul, coeffs, row)) for row in rows]
+    return values, common * math.prod(dens) ** d, d
 
 
 def eval_symmetric(f: SymmetricPolynomial, z) -> Fraction:
     """Evaluate f at the point z of exact rationals; len(z) must equal
     f.nvars.  The sum runs on integers over one common denominator."""
-    z = tuple(z)
-    if len(z) != f.nvars:
-        raise DomainError(f"arity mismatch: polynomial in {f.nvars} vars, point has {len(z)}")
     nums, dens = rational_parts(z)
-    mus = sorted(f.terms)
-    coeff_nums, coeff_dens = rational_parts(f.terms[mu] for mu in mus)
-    d = max((weight(mu) for mu in mus), default=0)
-    common = math.lcm(*coeff_dens)
-    total = 0
-    for p, c, s in zip(coeff_nums, coeff_dens, _scaled_monomials(mus, nums, dens, d)):
-        total += p * (common // c) * s
-    return Fraction(total, common * math.prod(dens) ** d)
+    (value,), scale, _ = _scaled_values(f, nums, dens, (1, 1), ((0,) * len(nums),))
+    return Fraction(value, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -419,34 +430,44 @@ def macdonald_gram_schmidt(lam, q, t, nvars: int | None = None) -> SymmetricPoly
 # ---------------------------------------------------------------------------
 
 
-def _d1_terms(z: tuple, q, t) -> list:
-    """The terms of D1 at z, for exact rational z, q and t: for each i the
-    pair (prod_{j!=i} (t z_i - z_j)/(z_i - z_j), z with z_i -> q z_i).
-    With z_i = a_i/b_i and t = c/e a factor is
-    (c a_i b_j - e a_j b_i) / (e (a_i b_j - a_j b_i)), multiplied as integers."""
-    nums, dens = rational_parts(z + (t,))
-    c, e = nums.pop(), dens.pop()
-    out = []
-    for i in range(len(z)):
-        num = den = 1
-        for j in range(len(z)):
+def _d1_weights(nums, dens, c: int, e: int) -> tuple:
+    """The weights prod_{j!=i} (t z_i - z_j)/(z_i - z_j) of D1 at z_i = a_i/b_i
+    and t = c/e over one denominator: (weights, den) with the i-th weight
+    weights[i] / den.  A factor is (c a_i b_j - e a_j b_i) / (e g_ij) with
+    g_ij = a_i b_j - a_j b_i, and den = e^(N-1) prod_{i<j} g_ij."""
+    n = len(nums)
+    gaps = [[nums[i] * dens[j] - nums[j] * dens[i] for j in range(n)] for i in range(n)]
+    den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            if gaps[i][j] == 0:
+                raise DomainError("coincident coordinates in difference operator")
+            den *= gaps[i][j]
+    weights = []
+    for i in range(n):
+        num = part = 1
+        for j in range(n):
             if j != i:
-                gap = nums[i] * dens[j] - nums[j] * dens[i]
-                if gap == 0:
-                    raise DomainError("coincident coordinates in difference operator")
                 num *= c * nums[i] * dens[j] - e * nums[j] * dens[i]
-                den *= e * gap
-        out.append((Fraction(num, den), z[:i] + (q * z[i],) + z[i + 1:]))
-    return out
+                part *= gaps[i][j]
+        weights.append(num * (den // part))  # exact: part divides den up to sign
+    return weights, e ** (n - 1) * den
+
+
+def _unit_shifts(n: int) -> list:
+    """The shifts of D1: z_i -> q z_i, one per coordinate."""
+    return [tuple(int(j == i) for j in range(n)) for i in range(n)]
 
 
 def d1_apply_point(f: SymmetricPolynomial, z, q, t) -> Fraction:
-    """Evaluate (D1 f)(z) with D1 = sum_i prod_{j!=i} (t z_i - z_j)/(z_i - z_j) T_{q,z_i}."""
-    z = tuple(z)
-    total = Fraction(0)
-    for w, shifted in _d1_terms(z, q, t):
-        total += w * eval_symmetric(f, shifted)
-    return total
+    """Evaluate (D1 f)(z) with D1 = sum_i prod_{j!=i} (t z_i - z_j)/(z_i - z_j) T_{q,z_i},
+    for exact rational z, q and t: every unit shift from one kernel call,
+    summed on integers into one Fraction."""
+    nums, dens = rational_parts(z)
+    (qn, tn), (qd, td) = rational_parts((q, t))
+    weights, den = _d1_weights(nums, dens, tn, td)
+    values, scale, d = _scaled_values(f, nums, dens, (qn, qd), _unit_shifts(len(nums)))
+    return Fraction(sum(map(operator.mul, weights, values)), den * scale * qd**d)
 
 
 def d1_eigenvalue(lam, N: int, q, t):
@@ -468,7 +489,9 @@ def macdonald_triangular_eigen(lam, N: int, q, t) -> SymmetricPolynomial:
     generic point z_p.  The eigenvalue is simple (collisions raise), so the
     kernel of D1 - eig is spanned by P_lambda and k - 1 rows fix its non-lambda
     coefficients; the k-th row checks the solution.  The solve runs over the
-    full basis, so no triangularity is assumed.
+    full basis, so no triangularity is assumed.  Each row comes from one
+    kernel call (the point and its N unit shifts) and is scaled to integers
+    by a nonzero factor, which leaves the solution unchanged.
     """
     lam = check_partition(lam)
     n = weight(lam)
@@ -493,15 +516,18 @@ def macdonald_triangular_eigen(lam, N: int, q, t) -> SymmetricPolynomial:
     # The lam column goes last: with c_lam = 1 it is the right-hand side.
     others = [mu for mu in basis if mu != lam]
     order = others + [lam]
+    (qn, tn), (qd, td) = rational_parts((q, t))
+    shifts = [(0,) * N] + _unit_shifts(N)
     rng = random.Random(0x5EED ^ (n * 131 + N))
     for _ in range(64):
         rows = []
         for _ in basis:
-            pt = distinct_rationals(rng, N)
-            row = [-eig * v for v in monomial_values(order, pt)]
-            for w, shifted in _d1_terms(pt, q, t):
-                row = [r + w * v for r, v in zip(row, monomial_values(order, shifted))]
-            rows.append(row)
+            nums, dens = rational_parts(distinct_rationals(rng, N))
+            weights, den = _d1_weights(nums, dens, tn, td)
+            # The row times den * qd^n * prod_i b_i^n * eig.denominator.
+            coeffs = [-eig.numerator * den * qd**n] + [w * eig.denominator for w in weights]
+            values = _scaled_monomials(order, nums, dens, n, (qn, qd), shifts)
+            rows.append([sum(map(operator.mul, coeffs, col)) for col in zip(*values)])
         try:
             sol = [c for (c,) in solve_exact([row[:-1] for row in rows[:-1]],
                                              [[-row[-1]] for row in rows[:-1]])]

@@ -5,6 +5,7 @@ or a formula that a package docstring states, kept so that the package can
 be checked against it.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,19 @@ def power_norm_fraction(mu, q, t) -> Fraction:
             raise SingularMatrixError(f"inner product degenerate at t^{part} = 1")
         val *= (1 - Fraction(q) ** part) / denom
     return val
+
+
+def monomial_value_oracle(mu, z) -> Fraction:
+    """m_mu(z) by a bare loop of Fraction products over the distinct
+    permutations of mu padded with zeros."""
+    padded = tuple(mu) + (0,) * (len(z) - len(mu))
+    total = Fraction(0)
+    for alpha in set(itertools.permutations(padded)):
+        term = Fraction(1)
+        for zi, e in zip(z, alpha):
+            term *= Fraction(zi) ** e
+        total += term
+    return total
 
 
 def monomial_gram_fraction(n: int, q, t):

@@ -371,6 +371,19 @@ def test_contour_rejects_u_beyond_the_ray_budget():
         contour_apply(CutoffFunction("constant"), W1, 1e30, 1.0)
 
 
+def test_contour_rejects_re_w_beyond_the_segment_budget():
+    # The vertical segment [a - i S0, a + i S0], S0 = max |Re w| + 3, takes
+    # ceil(2 S0 / 3) level-0 panels: 170 of them (2040 nodes) at |Re w| = 252.
+    cfg = QuadratureConfig(target_rel_error=1e-9)
+    legs, height = _bent_contour((mp.mpc(-252, -0.5), mp.mpc(1, -0.5)), 1.0, 1.0, cfg, 64)
+    assert len(legs) == 3 and height > 255
+    for re_w in (253, -1e6, 1e300):
+        with pytest.raises(DomainError, match="budget"):
+            _bent_contour((mp.mpc(re_w, -0.5),), 1.0, 1.0, cfg, 64)
+    with pytest.raises(DomainError, match="budget"):
+        contour_apply(CutoffFunction("constant"), (mp.mpc(1e6, -0.5),), 1.0, 1.0)
+
+
 @pytest.mark.parametrize("f", [CutoffFunction("constant"),
                                CutoffFunction("product-pole", b=3.0)],
                          ids=lambda f: f.kind)

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -68,33 +69,45 @@ def test_usage_error_exits_2():
         assert exc.value.code == 2, argv
 
 
-def test_non_finite_limit_argument_exits_2_promptly():
-    # A non-finite u once ran (a;q)_infinity forever; a subprocess lets a
-    # hang fail this test instead of stalling the run.
+def _cli_child(args, timeout):
+    """Run the CLI in a child process with a timeout and a 1.5 GB address-space
+    limit, so that a hang or a runaway allocation fails the test instead of
+    stalling the run or exhausting the machine."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run(
-        [sys.executable, "-m", "qwlab.cli", "limit-exp", "--eps-list", "0.4,0.2",
-         "--u", "nan", "--x-n", "0"],
-        capture_output=True, text=True, env=env, timeout=60)
+    limit = 1500 * 2**20
+    return subprocess.run(
+        [sys.executable, "-m", "qwlab.cli", *args], capture_output=True, text=True,
+        env=env, timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
+def test_non_finite_limit_argument_exits_2_promptly():
+    # A non-finite u once ran (a;q)_infinity forever.
+    done = _cli_child(["limit-exp", "--eps-list", "0.4,0.2", "--u", "nan", "--x-n", "0"], 60)
     assert done.returncode == 2
     assert "argument --u: invalid" in done.stderr
 
 
 def test_huge_u_on_the_contour_exits_2_promptly():
     # The contour rays grow like u/e, so u = 1e30 once built nodes until the
-    # memory ran out; a subprocess lets a hang fail this test instead.
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run(
-        [sys.executable, "-m", "qwlab.cli", "verify-lemma1", "--kind", "constant",
-         "--w=-0.5j", "--u", "1e30", "--a", "1"],
-        capture_output=True, text=True, env=env, timeout=30)
+    # memory ran out.
+    done = _cli_child(["verify-lemma1", "--kind", "constant", "--w=-0.5j", "--u", "1e30",
+                       "--a", "1"], 30)
     assert done.returncode == 2
     assert (done.stdout, done.stderr.split(":")[0]) == ("", "error")
     assert "budget" in done.stderr
+
+
+def test_huge_re_w_on_the_contour_exits_2_promptly():
+    # The vertical contour segment spans 2 (max |Re w| + 3), so Re w = 1e6
+    # once built 8M nodes.
+    done = _cli_child(["verify-lemma1", "--kind", "constant", "--w=1e6-0.5j", "--u", "1",
+                       "--a", "1"], 30)
+    assert done.returncode == 2
+    assert (done.stdout, done.stderr.split(":")[0]) == ("", "error")
+    assert "budget" in done.stderr and "Re w" in done.stderr
 
 
 def test_domain_error_reports_exit_2(capsys):
@@ -109,6 +122,8 @@ def test_domain_error_reports_exit_2(capsys):
                  ["limit-exp", "--eps-list", "1.5,0.2"],
                  ["verify-noumi", "--samples", "0"],
                  ["verify-noumi", "--order", "0"],
+                 ["verify-noumi", "--lambda", "1", "--n", "2", "--q", "1"],
+                 ["verify-noumi", "--lambda", "1", "--n", "2", "--q", "-1", "--order", "2"],
                  ["verify-d1", "--samples", "0"]):
         code = run(argv)
         out, err = _capture(capsys)

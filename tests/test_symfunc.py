@@ -4,21 +4,23 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from oracles import inner_product, monomial_gram_fraction
+from oracles import inner_product, monomial_gram_fraction, monomial_value_oracle
 
-from qwlab.qcore import DomainError
+import qwlab.symfunc
+from qwlab.qcore import DomainError, compositions_of_weight, rational_parts
 from qwlab.sampling import distinct_rationals, unit_interval_rational
 from qwlab.symfunc import (
     MAX_DEGREE,
     DegenerateEigenvalueError,
     SingularMatrixError,
     SymmetricPolynomial,
+    _scaled_monomials,
+    d1_apply_point,
     dominance_leq,
     eval_symmetric,
     macdonald_gram_schmidt,
     macdonald_triangular_eigen,
     monomial_gram,
-    monomial_value,
     partitions_of,
     power_to_monomial,
     qwhittaker_branch_eval,
@@ -71,8 +73,9 @@ def test_partitions_of_counts():
 
 
 def test_monomial_values():
-    assert monomial_value((1,), (F(2), F(3))) == 5
-    assert monomial_value((1, 1), (F(2), F(3))) == 6
+    # m_1 and m_11 at (2, 3), and at (2 q, 3) = (4, 3) for q = 2
+    assert _scaled_monomials([(1,), (1, 1)], [2, 3], [1, 1], 2, (2, 1), [(0, 0), (1, 0)]) == [
+        [5, 6], [7, 12]]
 
 
 def test_eval_symmetric_arity():
@@ -135,6 +138,29 @@ def test_triangular_eigen_matches_gram_schmidt():
                 gs = macdonald_gram_schmidt(lam, Q, T, nvars=n)
                 ei = macdonald_triangular_eigen(lam, n, Q, T)
                 assert gs.terms == ei.terms, (lam, n)
+
+
+def test_triangular_eigen_takes_one_kernel_call_per_point_row(monkeypatch):
+    # Each row's point, base value and N unit shifts come from one call of
+    # the shifted-monomial kernel.
+    calls = {"kernel": 0, "points": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(qwlab.symfunc, "_scaled_monomials",
+                        counting("kernel", qwlab.symfunc._scaled_monomials))
+    monkeypatch.setattr(qwlab.symfunc, "distinct_rationals",
+                        counting("points", qwlab.symfunc.distinct_rationals))
+    for lam, n in (((2, 1), 3), ((3, 2, 1), 4), ((4,), 2)):
+        calls.update(kernel=0, points=0)
+        ei = macdonald_triangular_eigen(lam, n, Q, T)
+        assert ei.terms == macdonald_gram_schmidt(lam, Q, T, nvars=n).terms
+        k = sum(1 for mu in partitions_of(sum(lam)) if len(mu) <= n)
+        assert calls["kernel"] == calls["points"] == k, (lam, calls)
 
 
 def test_triangular_eigen_rejects_colliding_eigenvalues():
@@ -271,19 +297,6 @@ def test_solve_exact_singular():
         solve_exact([[F(1), F(2)], [F(2), F(4)]], [[F(1)], [F(0)]])
 
 
-def monomial_value_oracle(mu, z):
-    """m_mu(z) by a bare loop of Fraction products over the distinct
-    permutations of mu padded with zeros."""
-    padded = tuple(mu) + (0,) * (len(z) - len(mu))
-    total = F(0)
-    for alpha in set(itertools.permutations(padded)):
-        term = F(1)
-        for zi, e in zip(z, alpha):
-            term *= F(zi) ** e
-        total += term
-    return total
-
-
 def _oracle_points(rng, n):
     yield distinct_rationals(rng, n)
     yield tuple(-v for v in distinct_rationals(rng, n))
@@ -293,14 +306,28 @@ def _oracle_points(rng, n):
 
 
 def test_integer_monomial_evaluation_matches_fraction_oracle():
+    # The kernel at every shift nu with |nu| <= 4 against m_mu at the
+    # explicitly shifted point q^nu z, scaled by prod_i b_i^d e^(|nu| d).
     rng = random.Random(41)
+    d = MAX_DEGREE
     for n in range(1, 5):
-        mus = [mu for d in range(7) for mu in partitions_of(d) if len(mu) <= n]
+        mus = [mu for k in range(d + 1) for mu in partitions_of(k) if len(mu) <= n]
+        mus.append((1,) * (n + 1))  # longer than the point: m_mu vanishes
+        shifts = [nu for k in range(5) for nu in compositions_of_weight(k, n)]
         for z in _oracle_points(rng, n):
-            for mu in mus:
-                assert monomial_value(mu, z) == monomial_value_oracle(mu, z), (mu, z)
-            # m_mu of a partition longer than the point vanishes
-            assert monomial_value((1,) * (n + 1), z) == 0
+            nums, dens = rational_parts(z)
+            for q in (F(-2, 3), 3):
+                c, e = F(q).numerator, F(q).denominator
+                rows = _scaled_monomials(mus, nums, dens, d, (c, e), shifts)
+                for nu, row in zip(shifts, rows):
+                    shifted = tuple(F(q) ** v * zi for v, zi in zip(nu, z))
+                    scale = F(1)
+                    for b in dens:
+                        scale *= b**d
+                    scale *= e ** (sum(nu) * d)
+                    expect = [monomial_value_oracle(mu, shifted) * scale if len(mu) <= n else 0
+                              for mu in mus]
+                    assert row == expect, (z, q, nu)
 
 
 def test_eval_symmetric_matches_fraction_oracle_non_homogeneous():
@@ -321,7 +348,7 @@ def test_exact_evaluation_rejects_inexact_points():
     f = SymmetricPolynomial({(1,): F(1)}, 2)
     for z in ((0.5, F(1, 3)), (F(1, 2), mp.mpf("0.25")), (F(1, 2), mp.mpc(1, 1))):
         with pytest.raises(DomainError):
-            monomial_value((1,), z)
+            d1_apply_point(f, z, Q, T)
         with pytest.raises(DomainError):
             eval_symmetric(f, z)
     with pytest.raises(DomainError):
