@@ -8,22 +8,18 @@ density (the contour form).  Both forms are implemented and compared.
 Contour geometry.  On the straight lines Re(xi_j) = a the N >= 2 integrand
 decays only polynomially along xi_1 + xi_2 = const (the Gamma decay of the
 axes is exactly cancelled by the 1/(Gamma(xi_i - xi_j)) growth), so the
-lines are bent into the left half-plane beyond the pole heights, where the
-Gamma factors decay super-exponentially.  The bend crosses no poles: the
-integrand's xi_j-poles all sit at heights Im(xi) = Re(w_i), below the bend
-corners, and to the left of Re(xi) = a in the working regime
--a < Im(w_i) < 0.  (For Im(w_i) < -a some poles would sit on the wrong
-side of the line and the printed identity genuinely fails, so that regime
-is rejected.)  The bent line has three legs: the lower 45-degree ray, the
-vertical segment [a - i S0, a + i S0], S0 = max |Re w_i| + 3, and the upper
-ray, each of length R sized from the target and u.  B is linear in the
-nodes, so B = B_lower + B_vertical + B_upper, and the legs are refined
-independently: the rays, where the integrand decays super-exponentially,
-usually stop one level after the start while the vertical segment goes on.
-The ray length grows like u/e once u > 1 and the segment's like 2 max |Re w_i|,
-so a leg that would exceed a fixed budget of level-0 nodes
-(`RAY_NODE_BUDGET`) is rejected: u beyond about 1100 at target 1e-9, or
-|Re w_i| beyond about 250.
+lines are bent into the left half-plane, where the Gamma factors decay
+super-exponentially.  The bend crosses no poles: the xi_j-poles i w_i - k
+sit at heights Re(w_i), left of Re(xi) = a in the working regime
+-a < Im(w_i) < 0.  (For Im(w_i) < -a some poles would sit on the wrong side
+of the line and the printed identity genuinely fails, so that regime is
+rejected.)  The bent line is one hyperbola opening left with asymptotes at
+45 degrees (`_hyperbola`), summed by the trapezoid rule in its parameter,
+which converges geometrically (Weideman and Trefethen, Math. Comp. 76,
+2007).  Each level halves the step and adds only the new odd nodes, so each
+Gamma factor is evaluated once.  A contour whose level-0 sum would exceed
+`CONTOUR_NODE_BUDGET` nodes is rejected: u beyond about 950 at target 1e-9,
+or max |Re w_i| beyond about 35 when a + Im w_i = 0.5.
 
 Separable pair kernels.  Both multiple integrals are sums over one node
 set with a pair factor of xi_i - xi_j, and both pair factors split exactly
@@ -72,7 +68,7 @@ from mpmath.libmp import mpf_cos_sin, mpf_mul, to_fixed
 
 from .gamma import GammaPoleError, gamma_c
 from .qcore import DomainError, QwlabError, compositions_of_weight
-from .quadrature import GL_ORDER, QuadratureConfig, QuadResult, nodes_1d, refine
+from .quadrature import QuadratureConfig, QuadResult, nodes_1d, refine
 from .report import VerificationReport, comparison_report
 from .whittaker import profile_grid, whittaker_eval
 
@@ -141,7 +137,9 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
     fall below 2^-prec |total| at the working precision prec; cap is only
     the upper bound, and the Gamma-pole check still covers every shell up
     to cap.  The error field carries the magnitude of the last two shells
-    summed, and the diagnostics hold cap, stop_shell (k) and last_shells.
+    summed plus the sum's own rounding, bounded by (k + 1) 2^-prec times the
+    largest partial sum, and the diagnostics hold cap, stop_shell (k) and
+    last_shells.
     """
     w = tuple(mp.mpc(v) for v in w)
     u = mp.mpc(u)
@@ -179,6 +177,7 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
     shell_mags = []
     upow = mp.mpc(1)
     unit = mp.mpf(2) ** -mp.mp.prec
+    largest = mp.mpf(0)
     for k in range(cap + 1):
         shell = mp.mpc(0)
         for nu in compositions_of_weight(k, n):
@@ -193,12 +192,13 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
                         ratio = ratio * ratio_tab[i][j][nu[i]]
             shell = shell + cross * ratio * f(tuple(w[i] + 1j * nu[i] for i in range(n)))
         total = total + upow * shell
+        largest = max(largest, abs(total))
         shell_mags.append(abs(upow * shell))
         if k and max(shell_mags[-2:]) < unit * abs(total):
             break
         upow = upow * u
     tail = shell_mags[-1] + (shell_mags[-2] if len(shell_mags) > 1 else mp.mpf(0))
-    return QuadResult(total, tail, {"cap": cap, "stop_shell": k,
+    return QuadResult(total, tail + (k + 1) * unit * largest, {"cap": cap, "stop_shell": k,
                                     "last_shells": shell_mags[-2:]})
 
 
@@ -207,51 +207,67 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
 # ---------------------------------------------------------------------------
 
 
-RAY_NODE_BUDGET = 2048
+CONTOUR_NODE_BUDGET = 2048
 
 
-def _bent_contour(w, a: float, u: float, cfg: QuadratureConfig, prec: int):
-    """The bent line as three legs, oriented upward: the lower ray from its
-    far end into the corner a - i S0, the vertical segment [a - i S0, a + i S0],
-    and the upper ray from a + i S0 into the left half-plane at 45 degrees.
-    Returns (legs, height): each leg maps a refinement level to its node/weight
-    pairs (xi, W), W including d(xi), and height bounds |Im xi| on the whole
-    contour.
+def _hyperbola(w, a: float, u: float, cfg: QuadratureConfig):
+    """The contour xi(s) = a - nu (cosh s - 1) + i nu sinh s, |s| <= s_max,
+    oriented upward: it crosses Re xi = a at height 0 and bends left, with
+    asymptotes at 45 degrees.  Returns (new_nodes, height): new_nodes(level)
+    gives the (xi, W) pairs, W = h xi'(s), that the step h = h0 / 2^level
+    adds to the trapezoid sum (s = j h, |j h| <= s_max, j odd past level 0),
+    so a level's sum is half the last level's plus its own; height bounds
+    |Im xi| on the contour.
 
-    The ray length R grows like u/e once u > 1, and the segment has length
-    2 S0.  A leg whose level-0 rule would take more than RAY_NODE_BUDGET =
-    2048 nodes is rejected with DomainError before any node is built: a ray
-    with R > 512, reached near u = 1100 at target 1e-9, or the segment once
-    S0 > 255, that is |Re w_i| beyond about 250."""
-    s0 = max(abs(mp.re(wi)) for wi in w) + 3.0 if w else 3.0
-    if math.ceil(2 * float(s0) / 3) * GL_ORDER > RAY_NODE_BUDGET:
-        raise DomainError(
-            f"max |Re w| = {float(s0) - 3:.4g} needs a contour segment of length "
-            f"{2 * float(s0):.4g}, beyond the budget of {RAY_NODE_BUDGET} level-0 nodes per leg")
-    # On the 45-degree rays each Gamma factor decays like
+    nu starts at max(1, D + 1, u/e), D = max |Re w_i|, so that the bend lies
+    above the poles and beyond |xi| = u/e, where u^-xi outgrows the Gamma
+    decay.  It grows by 1.25 until the contour passes each rightmost pole
+    i w_i, at height Re w_i, by at least half the pole's distance a + Im w_i
+    from the line; the poles i w_i - k lie further left.  The far end lies
+    D + R left of the line, R from the ray decay bound below, and
+    h0 = 1/(2 nu).  A contour whose level-0 sum would take more than
+    CONTOUR_NODE_BUDGET nodes raises DomainError before any node is built:
+    u beyond about 950 at target 1e-9, or D beyond about 35 when
+    a + Im w_i = 0.5."""
+    reach = max(abs(float(mp.re(wi))) for wi in w)
+    nu = max(1.0, reach + 1, u / math.e)
+
+    def check_budget(R):
+        if not 4 * nu * math.acosh(1 + (reach + R) / nu) + 1 <= CONTOUR_NODE_BUDGET:
+            raise DomainError(
+                f"u = {u} with max |Re w| = {reach:.4g} needs a contour beyond the "
+                f"budget of {CONTOUR_NODE_BUDGET} level-0 nodes")
+
+    # Beyond distance r on a 45-degree ray each Gamma factor decays like
     # exp(-(r/sqrt 2)(log r + 3pi/4 - 1)); size the tail against that,
     # minus the u^{-xi} growth when u > 1.
-    need = -mp.log(mp.mpf(cfg.target_rel_error)) + 10
+    need = -math.log(cfg.target_rel_error) + 10
     u_penalty = max(0.0, math.log(u))
     R = 8.0
+    check_budget(R)
     while (R / math.sqrt(2)) * (math.log(R) + 1.0 - u_penalty) < need:
         R *= 1.25
-        if math.ceil(R / 3) * GL_ORDER > RAY_NODE_BUDGET:
-            raise DomainError(
-                f"u = {u} needs contour rays longer than {R:.4g}, beyond the "
-                f"budget of {RAY_NODE_BUDGET} level-0 nodes per ray")
-    e_up = mp.mpc(-1, 1) / mp.sqrt(2)
-    e_low = mp.mpc(-1, -1) / mp.sqrt(2)
+        check_budget(R)
+    while any(nu * (math.hypot(1, float(mp.re(wi)) / nu) - 1) > (a + float(mp.im(wi))) / 2
+              for wi in w):
+        nu *= 1.25
+        check_budget(R)
+    s_max = math.acosh(1 + (reach + R) / nu)
+    h0 = mp.mpf(1 / (2 * nu))
+    nu_mp = mp.mpf(nu)
 
-    def leg(origin, direction, lo, hi, orientation):
-        return lambda level: [(origin + t * direction, wt * orientation)
-                              for t, wt in nodes_1d(level, lo, hi, prec)]
+    def new_nodes(level):
+        h = h0 / 2**level
+        top = math.floor(s_max / float(h))
+        out = []
+        for j in range(-top, top + 1):
+            if level and not j % 2:
+                continue
+            ch, sh = mp.cosh(j * h), mp.sinh(j * h)
+            out.append((mp.mpc(a - nu_mp * (ch - 1), nu_mp * sh), h * nu_mp * mp.mpc(-sh, ch)))
+        return out
 
-    # The lower ray is traversed from the far end to the corner: -e_low.
-    legs = (leg(mp.mpc(a, -s0), e_low, 0, R, -e_low),
-            leg(mp.mpc(a, 0), mp.mpc(0, 1), -s0, s0, mp.mpc(0, 1)),
-            leg(mp.mpc(a, s0), e_up, 0, R, e_up))
-    return legs, s0 + R / math.sqrt(2)
+    return new_nodes, nu * math.sinh(s_max)
 
 
 def _check_contour_regime(w, a: float):
@@ -272,15 +288,12 @@ def contour_apply(f: TestFunction, w, u, a: float,
         s_N(xi) u^{sum_i (i w_i - xi_i)} prod_{i,j} Gamma(xi_j - i w_i) f(-i xi).
 
     Requires a TestFunction f analytic and bounded on {Im v >= -a}, u > 0,
-    a > 0, -a < Im(w_i), and N <= 3; u beyond about 1100 (at target 1e-9)
-    or |Re w_i| beyond about 250 exceeds the legs' node budget and raises
-    DomainError (`_bent_contour`).  Every N takes the Andreief
-    determinant (`_andreief_det`) of the product integrand.  The three legs
-    of `_bent_contour` are refined as separate parts of one value: each leg's
-    matrix B_leg is built once per level, the value is det(sum of B_leg), and
-    only the leg whose drop by one level moves the value most is refined
-    further.  The diagnostics' part_levels gives the levels each leg took
-    (lower ray, vertical segment, upper ray).
+    a > 0, -a < Im(w_i), and N <= 3; a u or max |Re w_i| whose contour
+    exceeds the node budget of `_hyperbola` raises DomainError.  Every N
+    takes the Andreief determinant (`_andreief_det`) of the product
+    integrand, summed by the trapezoid rule on `_hyperbola`: B is linear in
+    the nodes, so each level's B is half the last level's plus B over the
+    level's new nodes.
     """
     if not isinstance(f, TestFunction):
         raise DomainError("the contour form needs a product TestFunction")
@@ -310,23 +323,22 @@ def contour_apply(f: TestFunction, w, u, a: float,
                 g = g * gamma_c(xi - 1j * wi)
             return g * f.axis_value(-1j * xi)
 
-        legs, height = _bent_contour(w, a, float(u), cfg, prec)
+        new_nodes, height = _hyperbola(w, a, float(u), cfg)
         guard = prec + _guard_bits(height * (n * n // 2) / 2)
+        B = None
 
-        def leg_matrix(leg):
-            def matrix_at(level):
-                gvals = [(xi, wt * axis_factor(xi)) for xi, wt in leg(level)]
-                with mp.workprec(guard):
-                    return _andreief_matrix(gvals, n)
-            return matrix_at
-
-        def combine(matrices):
+        def value_at(level):
+            nonlocal B
+            gvals = [(xi, wt * axis_factor(xi)) for xi, wt in new_nodes(level)]
             with mp.workprec(guard):
-                det = _andreief_det(matrices, n)
+                new = _andreief_matrix(gvals, n)
+                if B is not None:
+                    new = [[b / 2 + x for b, x in zip(rb, rx)] for rb, rx in zip(B, new)]
+                B = new
+                det = _andreief_det(B, n)
             return uw * det / (2j * mp.pi) ** n
 
-        return refine([leg_matrix(leg) for leg in legs], range(cfg.max_depth), cfg,
-                      "contour quadrature", combine)
+        return refine(value_at, range(cfg.max_depth), cfg, "contour quadrature")
 
 
 def _guard_bits(height) -> int:
@@ -348,16 +360,15 @@ def _andreief_matrix(gvals, n: int):
     return B
 
 
-def _andreief_det(matrices, n: int):
+def _andreief_det(B, n: int):
     """(1/N!) sum over node N-tuples of prod_j g_j prod_{i<j} pair_coupling(xi_i - xi_j),
-    the nodes those of every leg, exactly as
+    exactly as
 
-        (-1/(2 pi i))^M det B,  B = sum of the legs' `_andreief_matrix`,
+        (-1/(2 pi i))^M det B,  B the nodes' `_andreief_matrix`,
 
     with M = N(N-1)/2 (Andreief's identity).  The caller sets the working
     precision: prec plus the guard bits of e^{pi floor(N^2/2) H}, H the
     contour's height."""
-    B = [[sum(m[k][l] for m in matrices) for l in range(n)] for k in range(n)]
     return (-1 / (2j * mp.pi)) ** (n * (n - 1) // 2) * mp.det(B)
 
 

@@ -12,19 +12,14 @@ chi grid): a trapezoid sum on `whittaker.profile_grid`.
 two successive levels agree to the target relative error, and the last
 disagreement is reported as the error estimate.  Every refined value in the
 lab (these integrals, the profile sum, the N = 3 pattern sum, the contour
-and spectral sums of the dual Baxter checks) goes through it.  A value may
-combine independent parts, such as the three legs of the bent contour: then
-each part carries its own level and its own estimate (the change in the
-value when that part drops one level), the estimates are summed, and only
-the part with the largest estimate is refined, after QUADPACK's globally
-adaptive strategy (Piessens et al., 1983).  A one-part value is refined
-exactly as above.
+and spectral sums of the dual Baxter checks) goes through it.  The contour
+sum is a trapezoid sum on one smooth contour whose levels nest, so each of
+its levels evaluates only the nodes the level adds (`baxter._hyperbola`).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -123,49 +118,19 @@ def nodes_1d(level: int, lo, hi, prec: int) -> tuple:
     return tuple(out)
 
 
-def refine(value_at, levels, cfg: QuadratureConfig, label: str,
-           combine=None) -> QuadResult:
+def refine(value_at, levels, cfg: QuadratureConfig, label: str) -> QuadResult:
     """Evaluate value_at(level) over the levels until two successive values
-    agree to cfg.target_rel_error; the last difference is the error estimate.
-
-    With `combine`, the value combines independent parts: value_at is then
-    a sequence of functions, one per part, each giving its part at a level,
-    and combine(part values) gives the value.  Every part starts at the
-    first two levels.  A part's estimate is |value - value with that part one
-    level lower|; refinement stops when the estimates sum to at most
-    cfg.target_rel_error * |value|, and that sum is the error estimate.
-    Otherwise only the part with the largest estimate (the lowest index on a
-    tie) moves up one level.  Each part is evaluated once per level.  With
-    one part this is the plain loop above, and the diagnostics hold
-    {"levels": k}; with several they also hold "part_levels", the number
-    of levels each part took, and "levels" is the largest of them.
+    agree to cfg.target_rel_error; the last difference is the error estimate,
+    and the diagnostics hold {"levels": k}, the number of levels taken.
 
     The caller sets the working precision around the call."""
-    levels = tuple(levels)
-    if combine is None:
-        parts, combine = (value_at,), operator.itemgetter(0)
-    else:
-        parts = tuple(value_at)
-    values = [[] for _ in parts]  # values[i][k]: part i at levels[k]
     history = []
-    pending = range(len(parts))  # the parts to move up one level
-    while all(len(values[i]) < len(levels) for i in pending):
-        for i in pending:
-            values[i].append(parts[i](levels[len(values[i])]))
-        current = [v[-1] for v in values]
-        total = combine(current)
-        history.append(total)
-        if all(len(v) > 1 for v in values):
-            estimates = [abs(total - combine(current[:i] + [v[-2]] + current[i + 1:]))
-                         for i, v in enumerate(values)]
-            err = sum(estimates)
-            if err <= cfg.target_rel_error * abs(total):
-                counts = [len(v) for v in values]
-                diagnostics = {"levels": max(counts)}
-                if len(parts) > 1:
-                    diagnostics["part_levels"] = counts
-                return QuadResult(+total, +err, diagnostics)
-            pending = [max(range(len(parts)), key=estimates.__getitem__)]
+    for level in levels:
+        history.append(value_at(level))
+        if len(history) > 1:
+            err = abs(history[-1] - history[-2])
+            if err <= cfg.target_rel_error * abs(history[-1]):
+                return QuadResult(+history[-1], +err, {"levels": len(history)})
     raise QuadratureError(
         f"{label} did not converge "
         f"(last values {[mp.nstr(abs(h), 8) for h in history[-3:]]})"

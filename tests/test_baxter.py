@@ -1,3 +1,4 @@
+import math
 import random
 from functools import lru_cache
 
@@ -9,7 +10,7 @@ import qwlab.baxter
 import qwlab.whittaker
 from qwlab.baxter import (
     TestFunction as CutoffFunction,
-    _bent_contour,
+    _hyperbola,
     _rank8_pair_sum,
     baxter_eigen_check,
     contour_apply,
@@ -230,6 +231,19 @@ def test_eigen_single_variable_bits_of_both_displays():
         assert rep.diagnostics["quad_error"]._mpf_ == quad_error, (which, a_shift)
 
 
+@pytest.mark.parametrize("x", [0.2, -0.7])
+@pytest.mark.parametrize("which, a_shift", list(EIGEN_N1_BITS))
+def test_eigen_single_variable_estimate_bounds_error(which, a_shift, x):
+    # At N = 1 the left side has a closed form, psi_w(x) = e^{i w x}: the
+    # spectral integral must lie within its own estimate of it.
+    w = (mp.mpc(0.3, -0.4),)
+    rep = baxter_eigen_check(w, 1.0, (x,), which, a_shift=a_shift)
+    sign = -1 if which == "second" else 1
+    with mp.workprec(128):
+        closed = mp.exp(-mp.exp(sign * mp.mpf(x))) * mp.exp(-sign * 1j * w[0] * mp.mpf(x))
+        assert abs(rep.rhs - closed) <= rep.diagnostics["quad_error"]
+
+
 def test_eigen_requires_lower_half_plane():
     with pytest.raises(DomainError):
         baxter_eigen_check((mp.mpc(0.3, 0.1),), 1.0, (0.2,), "second")
@@ -239,12 +253,10 @@ W2 = (mp.mpc(0, -0.5), mp.mpc(1, -0.6))
 
 
 def _pairwise_contour(f, w, u, a, cfg):
-    """The N = 2 contour form as the O(n^2) sum over node pairs of the bent
-    contour, with pair_coupling as the pair factor, every leg at level 1:
-    returns that value and the sum over legs of its distance from the value
-    with that leg at level 0.  The pair factor is even, so the pair sum over
-    the joined legs is the sum over leg pairs of their cross sums, and each
-    cross sum is taken once."""
+    """The N = 2 contour form as the O(n^2) sum over node pairs of the
+    trapezoid rule on `_hyperbola`, with pair_coupling as the pair factor:
+    returns the sum at level 1 and its distance from the sum at level 0.
+    Level 1 takes level 0's nodes at half their weight and adds its own."""
     w = tuple(mp.mpc(v) for v in w)
     prec = cfg.working_prec()
     with mp.workprec(prec):
@@ -254,41 +266,26 @@ def _pairwise_contour(f, w, u, a, cfg):
         for wi in w:
             uw = uw * u ** (1j * wi)
 
-        def gvals(nodes):
-            out = []
+        def pair_sum(nodes):
+            gvals = []
             for xi, wt in nodes:
                 g = mp.exp(-xi * log_u)
                 for wi in w:
                     g = g * gamma_c(xi - 1j * wi)
-                out.append((xi, wt * g))
-            return out
-
-        legs, _ = _bent_contour(w, a, float(u), cfg, prec)
-        nodes = [[gvals(leg(level)) for level in (0, 1)] for leg in legs]
-        cross = {}
-
-        def pair_sum(i, k, j, l):
-            key = min((i, k, j, l), (j, l, i, k))
-            if key not in cross:
-                acc = mp.mpc(0)
-                for xi1, gw1 in nodes[i][k]:
-                    inner = mp.mpc(0)
-                    for xi2, gw2 in nodes[j][l]:
-                        inner += gw2 * pair_coupling(xi1 - xi2) * f((-1j * xi1, -1j * xi2))
-                    acc += gw1 * inner
-                cross[key] = acc
-            return cross[key]
-
-        def value(at):
+                gvals.append((xi, wt * g))
             acc = mp.mpc(0)
-            for i in range(3):
-                for j in range(3):
-                    acc += pair_sum(i, at[i], j, at[j])
+            for xi1, gw1 in gvals:
+                inner = mp.mpc(0)
+                for xi2, gw2 in gvals:
+                    inner += gw2 * pair_coupling(xi1 - xi2) * f((-1j * xi1, -1j * xi2))
+                acc += gw1 * inner
             return uw * acc / ((2j * mp.pi) ** 2 * 2)
 
-        fine = value((1, 1, 1))
-        error = sum(abs(fine - value(tuple(int(j != i) for j in range(3)))) for i in range(3))
-        return +fine, +error
+        new_nodes, _ = _hyperbola(w, a, float(u), cfg)
+        level0 = new_nodes(0)
+        coarse = pair_sum(level0)
+        fine = pair_sum([(xi, wt / 2) for xi, wt in level0] + new_nodes(1))
+        return +fine, abs(fine - coarse)
 
 
 @pytest.mark.parametrize("prec", [100, 200])
@@ -296,10 +293,9 @@ def _pairwise_contour(f, w, u, a, cfg):
                                CutoffFunction("exp-cutoff", c=0.3)],
                          ids=lambda f: f.kind)
 def test_separable_pair_sum_matches_pairwise_oracle(f, prec):
-    # Two levels per leg: the value is the sum with every leg at level 1,
-    # the error the sum of each leg's distance from level 0.  The oracle
-    # sums the same nodes pair by pair.
-    cfg = QuadratureConfig(target_rel_error=1e-3, max_depth=2, prec_bits=prec)
+    # Two levels: the value is the trapezoid sum at level 1, the error its
+    # distance from level 0.  The oracle sums the same nodes pair by pair.
+    cfg = QuadratureConfig(target_rel_error=0.5, max_depth=2, prec_bits=prec)
     separable = contour_apply(f, W2, 1.0, 1.0, cfg)
     value, error = _pairwise_contour(f, W2, 1.0, 1.0, cfg)
     assert separable.diagnostics["levels"] == 2
@@ -339,6 +335,17 @@ def test_residue_series_stops_at_working_precision(n):
         assert abs(full.value - head.value) <= mp.mpf(2) ** -100 * abs(full.value)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_residue_error_counts_its_own_rounding(n):
+    # At 100 bits the summed shells are a few units of 2^-100 |total| off the
+    # 400-bit sum, far more than the two last shells; the error field must
+    # cover that rounding too.
+    with mp.workprec(100):
+        res = residue_apply(POLE, CRITERION_4_W[n], -1.0, cap=40)
+    with mp.workprec(400):
+        assert abs(res.value - _full_residue(n).value) <= res.error
+
+
 # Three points in the ranges the benchmark's contour workload draws its
 # N = 1 inputs from: u in [0.5, 1.5], Re w in [-0.5, 0.5], Im w in
 # [-0.8, -0.2], a in [1, 1.5].
@@ -348,9 +355,6 @@ def test_contour_estimate_bounds_error_against_closed_form(u, w, a):
     con = contour_apply(CutoffFunction("constant"), (w,), u, a)
     with mp.workprec(128):
         assert abs(con.value - mp.exp(-mp.mpf(u))) <= con.error
-    # Both rays stop one level after the start; the vertical segment refines.
-    lower, vertical, upper = con.diagnostics["part_levels"]
-    assert (lower, upper) == (2, 2) and vertical > 2
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -360,27 +364,46 @@ def test_contour_estimate_bounds_error_against_residue_series(n):
         assert abs(con.value - _full_residue(n).value) <= con.error
 
 
+# Observed, not derived: at N = 2 and N = 3 the contour form of f = 1 reads
+# 1, and that of the exp-cutoff e^{-i c sum v} reads e^{-i c sum w}, to
+# 1e-17 or better at every u and w tried.  They anchor the contour sum at
+# N >= 2 without the residue series.
+@pytest.mark.parametrize("u", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("f", [CutoffFunction("constant"), CutoffFunction("exp-cutoff", c=0.5)],
+                         ids=lambda f: f.kind)
+@pytest.mark.parametrize("n", [2, 3])
+def test_contour_estimate_bounds_error_against_closed_forms_at_n2_and_n3(n, f, u):
+    w = CRITERION_4_W[n]
+    con = contour_apply(f, w, u, 1.0, CFG3)
+    with mp.workprec(128):
+        closed = mp.mpc(1) if f.kind == "constant" else mp.exp(-1j * f.c * mp.fsum(w))
+        assert abs(con.value - closed) <= con.error
+
+
 def test_contour_rejects_u_beyond_the_ray_budget():
+    # Once u > e the hyperbola's vertex scale grows like u/e, and its level-0
+    # sum like that scale: u = 900 takes under 2048 nodes, u = 1000 more.
     cfg = QuadratureConfig(target_rel_error=1e-9)
-    legs, height = _bent_contour(W1, 1.0, 1e3, cfg, 64)
-    assert len(legs) == 3 and height > 300
-    for u in (2e3, 1e30, 1e300):
+    new_nodes, height = _hyperbola(W1, 1.0, 900.0, cfg)
+    assert len(new_nodes(0)) <= 2048 and height > 900 / math.e
+    for u in (1e3, 1e30, 1e300, math.inf):
         with pytest.raises(DomainError, match="budget"):
-            _bent_contour(W1, 1.0, u, cfg, 64)
+            _hyperbola(W1, 1.0, u, cfg)
     with pytest.raises(DomainError, match="budget"):
         contour_apply(CutoffFunction("constant"), W1, 1e30, 1.0)
 
 
 def test_contour_rejects_re_w_beyond_the_segment_budget():
-    # The vertical segment [a - i S0, a + i S0], S0 = max |Re w| + 3, takes
-    # ceil(2 S0 / 3) level-0 panels: 170 of them (2040 nodes) at |Re w| = 252.
+    # To pass a pole at height Re w half its distance 0.5 from the line, the
+    # hyperbola's vertex scale grows like (Re w)^2: |Re w| = 35 fits in 2048
+    # level-0 nodes, 36 does not.
     cfg = QuadratureConfig(target_rel_error=1e-9)
-    legs, height = _bent_contour((mp.mpc(-252, -0.5), mp.mpc(1, -0.5)), 1.0, 1.0, cfg, 64)
-    assert len(legs) == 3 and height > 255
-    for re_w in (253, -1e6, 1e300):
+    new_nodes, height = _hyperbola((mp.mpc(-35, -0.5), mp.mpc(1, -0.5)), 1.0, 1.0, cfg)
+    assert len(new_nodes(0)) <= 2048 and height > 35
+    for re_w in (36, -1e6, 1e300):
         with pytest.raises(DomainError, match="budget"):
-            _bent_contour((mp.mpc(re_w, -0.5),), 1.0, 1.0, cfg, 64)
-    with pytest.raises(DomainError, match="budget"):
+            _hyperbola((mp.mpc(re_w, -0.5),), 1.0, 1.0, cfg)
+    with pytest.raises(DomainError, match="Re w"):
         contour_apply(CutoffFunction("constant"), (mp.mpc(1e6, -0.5),), 1.0, 1.0)
 
 

@@ -100,29 +100,6 @@ def test_refine_stops_at_first_agreeing_pair():
     assert res.diagnostics == {"levels": 4}
 
 
-def test_refine_moves_only_the_part_that_has_not_converged():
-    # Part 0 is exact from level 0 on; part 1 halves its distance from 1 at
-    # every level.  Only part 1 is refined past the first two levels, and
-    # the estimate is the sum of the two parts' estimates.
-    called = {0: [], 1: []}
-
-    def part(i, rate):
-        def value_at(level):
-            called[i].append(level)
-            return 1 + mp.mpf(2) ** (-rate * (level + 1))
-        return value_at
-
-    with mp.workprec(500):  # every value and estimate below is exact
-        res = refine([part(0, 200), part(1, 4)], range(8),
-                     QuadratureConfig(target_rel_error=1e-6), "toy", combine=sum)
-        est0 = mp.mpf(2) ** -200 - mp.mpf(2) ** -400
-        est1 = mp.mpf(2) ** -20 - mp.mpf(2) ** -24
-        assert res.value == 2 + mp.mpf(2) ** -400 + mp.mpf(2) ** -24
-        assert res.error == est0 + est1
-    assert called == {0: [0, 1], 1: [0, 1, 2, 3, 4, 5]}
-    assert res.diagnostics == {"levels": 6, "part_levels": [2, 6]}
-
-
 def test_refine_raises_naming_the_label():
     called = []
 
