@@ -17,9 +17,10 @@ rejected.)  The bent line is one hyperbola opening left with asymptotes at
 45 degrees (`_hyperbola`), summed by the trapezoid rule in its parameter,
 which converges geometrically (Weideman and Trefethen, Math. Comp. 76,
 2007).  Each level halves the step and adds only the new odd nodes, so each
-Gamma factor is evaluated once.  A contour whose level-0 sum would exceed
-`CONTOUR_NODE_BUDGET` nodes is rejected: u beyond about 950 at target 1e-9,
-or max |Re w_i| beyond about 35 when a + Im w_i = 0.5.
+Gamma factor is evaluated once, and the working precision covers the
+rounding of terms that outgrow the result.  A contour whose level-0 sum
+would exceed `CONTOUR_NODE_BUDGET` nodes is rejected: u beyond about 950 at
+target 1e-9, or max |Re w_i| beyond about 35 when a + Im w_i = 0.5.
 
 Separable pair kernels.  Both multiple integrals are sums over one node
 set with a pair factor of xi_i - xi_j, and both pair factors split exactly
@@ -58,6 +59,7 @@ displays of a pair read one table: the second evaluates no Gamma function.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -208,6 +210,10 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
 
 
 CONTOUR_NODE_BUDGET = 2048
+# Ulps of rounding per term of the contour sum: its node, weight, u^-xi,
+# Gamma factors and f each round.  At N = 1 and u <= 28 the sum's rounding
+# error reached 2 ulps of the terms' modulus mass, coherently.
+CONTOUR_TERM_ULPS = 8
 
 
 def _hyperbola(w, a: float, u: float, cfg: QuadratureConfig):
@@ -293,7 +299,10 @@ def contour_apply(f: TestFunction, w, u, a: float,
     takes the Andreief determinant (`_andreief_det`) of the product
     integrand, summed by the trapezoid rule on `_hyperbola`: B is linear in
     the nodes, so each level's B is half the last level's plus B over the
-    level's new nodes.
+    level's new nodes.  The error field carries the last refinement
+    difference plus the rounding of the sum's terms, which can exceed the
+    result by far at large u; the working precision rises where that
+    rounding would exceed the target.
     """
     if not isinstance(f, TestFunction):
         raise DomainError("the contour form needs a product TestFunction")
@@ -310,35 +319,75 @@ def contour_apply(f: TestFunction, w, u, a: float,
     f.check_analytic(a)
     if cfg is None:
         cfg = QuadratureConfig(target_rel_error=1e-9)
+    new_nodes, height = _hyperbola(w, a, float(u), cfg)
+    guard_bits = _guard_bits(height * (n * n // 2) / 2)
+    # The sum's terms can exceed the result by far (u^-xi outgrows the Gamma
+    # decay on the bend when u is large), and each term carries its own
+    # rounding: CONTOUR_TERM_ULPS 2^-prec times the terms' modulus mass,
+    # measured at level 0.  Where that would exceed the target at a level's
+    # value T, the working precision rises by log2(mass/|T|) and the levels
+    # so far are summed again.  Level 0's T cannot stand for the result: at
+    # u = 30 it is 1e10 times too big.
     prec = cfg.working_prec()
+    sum_at, mass = _contour_levels(f, w, u, new_nodes, prec, guard_bits)
+
+    def rounding():
+        return CONTOUR_TERM_ULPS * mass[0] / 2**prec
+
+    def value_at(level):
+        nonlocal prec, sum_at, mass
+        value = sum_at(level)
+        while value and rounding() > cfg.target_rel_error * abs(value):
+            prec += max(1, math.ceil(math.log2(mass[0] / abs(value))))
+            sum_at, mass = _contour_levels(f, w, u, new_nodes, prec, guard_bits)
+            for again in range(level + 1):
+                value = sum_at(again)
+        return value
+
+    # The levels' values carry their own precision; the configured one,
+    # 2^-30 below the target, is enough to compare and return them.
+    with mp.workprec(cfg.working_prec()):
+        res = refine(value_at, range(cfg.max_depth), cfg, "contour quadrature")
+        return QuadResult(res.value, res.error + rounding(), res.diagnostics)
+
+
+def _contour_levels(f: TestFunction, w, u, new_nodes, prec: int, guard_bits: int):
+    """(sum_at, mass) for the contour sum at working precision prec:
+    sum_at(level) is the trapezoid sum through that level, called for
+    level 0, 1, ... in turn, and its level-0 call sets mass[0] to the sum of
+    the moduli of the terms of that sum, `_andreief_mass` times the
+    prefactors'."""
+    n = len(w)
     with mp.workprec(prec):
         log_u = mp.log(u)
         uw = mp.mpc(1)
         for wi in w:
             uw = uw * u ** (1j * wi)
+    B = None
+    mass = [None]
 
-        def axis_factor(xi):
-            g = mp.exp(-xi * log_u)
-            for wi in w:
-                g = g * gamma_c(xi - 1j * wi)
-            return g * f.axis_value(-1j * xi)
+    def axis_factor(xi):
+        g = mp.exp(-xi * log_u)
+        for wi in w:
+            g = g * gamma_c(xi - 1j * wi)
+        return g * f.axis_value(-1j * xi)
 
-        new_nodes, height = _hyperbola(w, a, float(u), cfg)
-        guard = prec + _guard_bits(height * (n * n // 2) / 2)
-        B = None
-
-        def value_at(level):
-            nonlocal B
+    def sum_at(level):
+        nonlocal B
+        with mp.workprec(prec):
             gvals = [(xi, wt * axis_factor(xi)) for xi, wt in new_nodes(level)]
-            with mp.workprec(guard):
-                new = _andreief_matrix(gvals, n)
-                if B is not None:
-                    new = [[b / 2 + x for b, x in zip(rb, rx)] for rb, rx in zip(B, new)]
-                B = new
-                det = _andreief_det(B, n)
+            if not level:
+                mass[0] = abs(uw) * _andreief_mass(gvals, n) / (2 * mp.pi) ** (n * (n + 1) // 2)
+        with mp.workprec(prec + guard_bits):
+            new = _andreief_matrix(gvals, n)
+            if B is not None:
+                new = [[b / 2 + x for b, x in zip(rb, rx)] for rb, rx in zip(B, new)]
+            B = new
+            det = _andreief_det(B, n)
+        with mp.workprec(prec):
             return uw * det / (2j * mp.pi) ** n
 
-        return refine(value_at, range(cfg.max_depth), cfg, "contour quadrature")
+    return sum_at, mass
 
 
 def _guard_bits(height) -> int:
@@ -358,6 +407,22 @@ def _andreief_matrix(gvals, n: int):
                 row[l] += g * phase
             g = g * xi
     return B
+
+
+def _andreief_mass(gvals, n: int):
+    """The sum of the moduli of the terms of det B, B the `_andreief_matrix`
+    of `gvals`, expanded over permutations and nodes: the permanent of the
+    entrywise sums of |g_j xi_j^k e^{i pi (2l-N+1) xi_j}|."""
+    A = [[mp.mpf(0)] * n for _ in range(n)]
+    for xi, g in gvals:
+        decays = [mp.exp(-mp.pi * (2 * l - n + 1) * mp.im(xi)) for l in range(n)]
+        m = abs(g)
+        for row in A:
+            for l, decay in enumerate(decays):
+                row[l] += m * decay
+            m = m * abs(xi)
+    return mp.fsum(mp.fprod(A[k][p[k]] for k in range(n))
+                   for p in itertools.permutations(range(n)))
 
 
 def _andreief_det(B, n: int):

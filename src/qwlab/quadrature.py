@@ -2,11 +2,12 @@
 
 The one rule is composite Gauss-Legendre: fixed-order panels, refined by
 doubling the panel count.  Every lab integrand is smooth on its truncated
-box, and the tests anchor the rule against closed forms.  The lab's
-multi-dimensional sums (the N = 3 pattern sum, the contour and spectral
-sums) are built on the same node sets.  The exception is the GL(2) profile
-2 K_{i delta}(z) (the N = 2 Whittaker function and the N = 2 spectral sum's
-chi grid): a trapezoid sum on `whittaker.profile_grid`.
+box, and the tests anchor the rule against closed forms.  The spectral
+sums of the dual Baxter checks are built on the same node sets.  The
+exceptions are trapezoid sums: the GL(2) profile 2 K_{i delta}(z) (the N = 2
+Whittaker function and the N = 2 spectral sum's chi grid) on
+`whittaker.profile_grid`, the N = 3 pattern sum on one uniform lattice
+(`whittaker._pattern_sum_3`), and the contour sum on one hyperbola.
 
 `refine` is the one place the stopping rule lives: refinement stops when
 two successive levels agree to the target relative error, and the last
@@ -36,8 +37,10 @@ class QuadratureError(QwlabError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    # Nothing reads `scheme`: composite Gauss-Legendre is the only rule.  The
-    # field stays while the benchmark workloads still pass it.
+    # Nothing reads `scheme` or `box_halfwidth`: composite Gauss-Legendre is
+    # the only rule of `integrate_1d`, and each truncated window is fixed or
+    # sized by its caller.  Both fields stay while the benchmark workloads
+    # still pass them, and go with the benchmark mends (ROADMAP item 5).
     scheme: str = GAUSS_LEGENDRE
     box_halfwidth: float = 12.0
     target_rel_error: float = 1e-10

@@ -8,8 +8,10 @@ patterns X = (x_{k,i}, 1 <= i <= k <= N) with the top row pinned to x:
     F_lam(X) = i sum_k lam_k (|row_k| - |row_{k-1}|)
              - sum_{k<N} sum_i (e^{x_{k,i}-x_{k+1,i}} + e^{x_{k+1,i+1}-x_{k,i}}).
 
-The e^(-e^s) coupling makes the integrand die double-exponentially a few
-units outside the top-row hull, so a modest truncated box suffices.
+The e^(-e^s) coupling makes the integrand die double-exponentially in
+every direction, so the trapezoid rule on a uniform grid converges
+geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014), on windows sized
+from the target through that decay.
 
 For N = 2 the interior integral separates into a center-of-mass phase times
 a one-dimensional profile in s = x_1 - x_2, `pair_profile`, a trapezoid sum
@@ -19,6 +21,11 @@ tests.  The profile's closed form is 2 K_{i(mu1-mu2)}(2 e^{-s/2}), the GL(2)
 Whittaker function (Bump, Automorphic Forms and Representations, 1997): the
 tests anchor `pair_profile` against it, and the N = 2 Stade check takes
 its profiles from it.
+
+For N = 3 the row-1 entry integrates to that profile of row 2, and the
+remaining double integral over row 2 is one step of Givental's recursion.
+`_pattern_sum_3` sums all three entries on one uniform lattice, with the
+row-1 sum in the profile's own trapezoid form, refined by halving the step.
 """
 
 from __future__ import annotations
@@ -29,28 +36,18 @@ import mpmath as mp
 
 from .gamma import gamma_c
 from .qcore import DomainError
-from .quadrature import QuadratureConfig, QuadResult, integrate_1d, nodes_1d, refine
+from .quadrature import QuadratureConfig, QuadResult, integrate_1d, refine
 from .report import VerificationReport, comparison_report
 
 MAX_WHITTAKER_N = 3
-
-
-def _interior_box(x, cfg: QuadratureConfig, pad: float = 5.0):
-    # The N = 3 pattern sum's windows.  A row-2 entry couples to the top row
-    # x and is below e^(-e^pad) outside this window: pad 5 leaves mass
-    # ~1e-64.  The row-1 entry couples only to row 2, whose entries stray a
-    # few units past the hull at a cost of only ~e^-13, so the row-1 tail at
-    # pad 5 is ~1e-11: that entry takes pad 7.  The configured half-width
-    # caps the pad.
-    pad = min(cfg.box_halfwidth, pad)
-    return (min(x) - pad, max(x) + pad)
 
 
 def whittaker_eval(lam, x, cfg: QuadratureConfig | None = None) -> QuadResult:
     """psi_lam(x) for N <= 3 by quadrature over the interior pattern entries.
 
     N = 1 is the exact exponential e^{i lam_1 x_1}, N = 2 the center-of-mass
-    phase times `pair_profile` (no box).  The error field carries the last
+    phase times `pair_profile`, N = 3 the lattice sum `_pattern_sum_3`
+    refined by halving its step.  The error field carries the last
     refinement difference.
     """
     x = tuple(mp.mpf(v) for v in x)
@@ -73,62 +70,91 @@ def whittaker_eval(lam, x, cfg: QuadratureConfig | None = None) -> QuadResult:
             phase = mp.exp(1j * (lam[0] + lam[1]) * (x[0] + x[1]) / 2)
             prof = pair_profile(lam[0], lam[1], x[0] - x[1], cfg)
             return QuadResult(phase * prof.value, abs(phase) * prof.error, prof.diagnostics)
-    return _pattern_quad_3(lam, x, cfg)
+    # The lattice and its sums at the integrand's precision, as for N = 2.
+    with mp.workprec(cfg.integrand_prec()):
+        h0, L = _pattern_lattice(lam, x, cfg.target_rel_error)
+        return refine(lambda level: _pattern_sum_3(lam, x, h0 / 2**level, L),
+                      range(cfg.max_depth), cfg, "pattern quadrature")
 
 
-def _pattern_quad_3(lam, x, cfg: QuadratureConfig) -> QuadResult:
-    """N = 3 pattern integral, summed per row-1 node with per-axis tables.
+def _pattern_lattice(lam, x, target):
+    """(h0, L): the level-0 step and the window bound of the N = 3 lattice
+    sum at a relative target.
 
-    The row-1 entry z1 couples to each row-2 entry (z2, z3), and those two
-    do not couple to each other, so at each row-1 node the double sum over
-    row 2 is a product of two single sums:
-
-        total = sum_1 p1 (sum_2 p2 e^{-(E1/E2 + a2)}) (sum_3 p3 e^{-(E3/E1 + a3)})
-
-    with E = e^z and a2, a3 the couplings of z2, z3 to the top row x.  This
-    is Givental's recursion (Givental 1997) read as a quadrature sum:
-    O(n^2) real exponentials per level instead of O(n^3).  The complex
-    spectral phases factor per axis and are precomputed on its node list:
-    one for row 1 on its own window, one shared by the two row-2 entries.
-    """
+    The integrand's modulus is e^{-Phi}, Phi the sum of the action's six
+    exponentials (for real lam), and Phi at the balanced pattern (each entry
+    halfway between the two it couples to) bounds Phi's minimum Phi_0.
+    Where one exponential exceeds e^L = Phi_0 + 2 need, the integrand is
+    below e^{-2 need} of its peak: the windows keep every exponential below
+    e^L, L enlarged by the phases' growth when lam is complex, so that the
+    tails fall under the first refinement difference, about e^{-need}, which
+    cannot see them.  The integrand is analytic for |Im| < pi/2 in each
+    lattice direction, so the trapezoid error falls like
+    e^{-pi^2/h + pi mu/2}, mu the larger of |lam1 - lam2| and
+    |lam1 + lam2 - 2 lam3| / 2; h0 puts it near e^{-need} (as `profile_grid`
+    does)."""
     l1, l2, l3 = lam
     x1, x2, x3 = x
-    row1 = _interior_box(x, cfg, pad=7.0)
-    row2 = _interior_box(x, cfg)
-    prec = cfg.working_prec()
-    with mp.workprec(prec):
-        const = mp.exp(1j * l3 * (x1 + x2 + x3))
-        c1, c2 = mp.exp(-x1), mp.exp(x2)
-        c3, c4 = mp.exp(-x2), mp.exp(x3)
-        d12 = 1j * (l1 - l2)
-        d23 = 1j * (l2 - l3)
+    need = -mp.log(mp.mpf(target)) + 8
+    delta, rho = l1 - l2, (l1 + l2 - 2 * l3) / 2
+    phi = 2 * (mp.exp((x2 - x1) / 2) + mp.exp((x3 - x2) / 2) + mp.exp((x3 - x1) / 4))
+    rate = 2 * abs(mp.im(rho)) + abs(mp.im(delta))
+    L = 0
+    for _ in range(4):
+        L = mp.log(phi + 2 * need + rate * (x1 - x3 + 2 * L))
+    h0 = mp.pi ** 2 / (mp.mpf(1.5) * mp.pi * max(abs(delta), abs(rho)) + need)
+    return h0, L
 
-        def value_at(level):
-            ax1 = []
-            for t, wt in nodes_1d(level, row1[0], row1[1], prec):
-                E = mp.exp(t)
-                ax1.append((E, 1 / E, wt * mp.exp(d12 * t)))
-            ax2 = []
-            ax3 = []
-            for t, wt in nodes_1d(level, row2[0], row2[1], prec):
-                E = mp.exp(t)
-                iE = 1 / E
-                p23 = wt * mp.exp(d23 * t)
-                ax2.append((iE, E * c1 + c2 * iE, p23))
-                ax3.append((E, E * c3 + c4 * iE, p23))
-            total = mp.mpc(0)
-            exp = mp.exp
-            for E1, iE1, p1 in ax1:
-                s2 = mp.mpc(0)
-                for iE2, a2, p2 in ax2:
-                    s2 += p2 * exp(-(E1 * iE2 + a2))
-                s3 = mp.mpc(0)
-                for E3, a3, p3 in ax3:
-                    s3 += p3 * exp(-(E3 * iE1 + a3))
-                total += p1 * s2 * s3
-            return const * total
 
-        return refine(value_at, range(cfg.max_depth), cfg, "pattern quadrature")
+def _pattern_sum_3(lam, x, h, L):
+    """The trapezoid rule for the N = 3 pattern integral on one uniform
+    lattice of step h: row 2 at z1 = i h in [x2 - L, x1 + L] and
+    z2 = j h in [x3 - L, x2 + L], row 1 at y = (i + j + 2m) h / 2 on the half
+    lattice, in [z2 - L, z1 + L].
+
+    The row-1 sum is the trapezoid sum of the GL(2) profile,
+    chi_d = 2 K_{i delta}(2 e^{-d h/2}) for d = i - j, delta = lam1 - lam2,
+    summed as `profile_grid` sums it: with F_k = e^{-e^{k h/2}} on the half
+    lattice, e^{-2 e^{-d h/2} cosh(m h)} = F_{2m-d} F_{-2m-d}, so one F table
+    and one cos(m h delta) table serve every d.  The double sum over row 2
+    is then
+
+        h^2 e^{i lam3 (x1 + x2 + x3)} sum_d chi_d sum_i a_i b_{i-d},
+
+    a_i and b_j the row-2 couplings to x times the phase
+    e^{i (lam1 + lam2 - 2 lam3) z / 2}: O(n) exponentials per level for n
+    lattice nodes per axis.  This is one step of Givental's recursion
+    (Givental 1997) read as a quadrature sum."""
+    l1, l2, l3 = lam
+    x1, x2, x3 = x
+    delta = l1 - l2
+    rate = 1j * (l1 + l2 - 2 * l3) / 2
+    i0, i1 = int(mp.ceil((x2 - L) / h)), int(mp.floor((x1 + L) / h))
+    j0, j1 = int(mp.ceil((x3 - L) / h)), int(mp.floor((x2 + L) / h))
+    kcut = int(mp.floor(2 * L / h))
+
+    def row(lo, hi, left, right):
+        c1, c2 = mp.exp(-left), mp.exp(right)
+        out = []
+        for k in range(lo, hi + 1):
+            E = mp.exp(k * h)
+            out.append(mp.exp(rate * k * h - E * c1 - c2 / E))
+        return out
+
+    a, b = row(i0, i1, x1, x2), row(j0, j1, x2, x3)
+    # y - z1 = (2m - d) h / 2 and z2 - y = (-2m - d) h / 2 stay below L.
+    dmin, dmax = max(i0 - j1, -kcut), i1 - j0
+    mmax = (kcut + dmax) // 2
+    f0 = -2 * mmax - dmax
+    F = [mp.exp(-mp.exp(k * h / 2)) for k in range(f0, kcut + 1)]
+    cosines = [mp.cos(m * h * delta) * (2 if m else 1) for m in range(mmax + 1)]
+    chis, corrs = [], []
+    for d in range(dmin, dmax + 1):
+        ms = range((kcut + d) // 2 + 1)
+        chis.append(mp.fdot((F[2 * m - d - f0] * F[-2 * m - d - f0] for m in ms), cosines))
+        lo, hi = max(i0, j0 + d), min(i1, j1 + d)
+        corrs.append(mp.fdot(a[lo - i0:hi - i0 + 1], b[lo - d - j0:hi - d - j0 + 1]))
+    return h ** 3 * mp.exp(1j * l3 * (x1 + x2 + x3)) * mp.fdot(chis, corrs)
 
 
 def pair_profile(mu1, mu2, s, cfg: QuadratureConfig | None = None) -> QuadResult:

@@ -145,6 +145,53 @@ def givental_action(lam, pattern: GiventalPattern):
     return total
 
 
+def gauss_legendre_pattern_3(lam, x, row1, row2, cfg: QuadratureConfig) -> QuadResult:
+    """The N = 3 pattern integral by composite Gauss-Legendre on explicit
+    windows: row1 for the row-1 entry, row2 for both row-2 entries.
+
+    The row-1 entry z1 couples to each row-2 entry (z2, z3), and those two
+    do not couple to each other, so at each row-1 node the double sum over
+    row 2 is a product of two single sums:
+
+        total = sum_1 p1 (sum_2 p2 e^{-(E1/E2 + a2)}) (sum_3 p3 e^{-(E3/E1 + a3)})
+
+    with E = e^z and a2, a3 the couplings of z2, z3 to the top row x.  The
+    refinement estimate cannot see the windows' truncation, so they must be
+    wide: pad 7 about the top-row hull leaves a row-1 tail near 1e-11, and
+    pad 12 one far below any target."""
+    l1, l2, l3 = lam
+    x1, x2, x3 = x
+    prec = cfg.working_prec()
+    with mp.workprec(prec):
+        const = mp.exp(1j * l3 * (x1 + x2 + x3))
+        c1, c2 = mp.exp(-x1), mp.exp(x2)
+        c3, c4 = mp.exp(-x2), mp.exp(x3)
+        d12 = 1j * (l1 - l2)
+        d23 = 1j * (l2 - l3)
+
+        def value_at(level):
+            ax1 = []
+            for t, wt in nodes_1d(level, row1[0], row1[1], prec):
+                E = mp.exp(t)
+                ax1.append((E, 1 / E, wt * mp.exp(d12 * t)))
+            ax2 = []
+            ax3 = []
+            for t, wt in nodes_1d(level, row2[0], row2[1], prec):
+                E = mp.exp(t)
+                iE = 1 / E
+                p23 = wt * mp.exp(d23 * t)
+                ax2.append((iE, E * c1 + c2 * iE, p23))
+                ax3.append((E, E * c3 + c4 * iE, p23))
+            total = mp.mpc(0)
+            for E1, iE1, p1 in ax1:
+                s2 = mp.fsum(p2 * mp.exp(-(E1 * iE2 + a2)) for iE2, a2, p2 in ax2)
+                s3 = mp.fsum(p3 * mp.exp(-(E3 * iE1 + a3)) for E3, a3, p3 in ax3)
+                total += p1 * s2 * s3
+            return const * total
+
+        return refine(value_at, range(cfg.max_depth), cfg, "pattern quadrature")
+
+
 def a_eps_corrected(epsilon) -> mp.mpf:
     """log (q;q)_inf asymptotic at q = e^{-eps}: -(pi^2/6)/eps - log(eps/(2 pi))/2
     (the `limits` module docstring)."""

@@ -357,6 +357,16 @@ def test_contour_estimate_bounds_error_against_closed_form(u, w, a):
         assert abs(con.value - mp.exp(-mp.mpf(u))) <= con.error
 
 
+# Large u: the terms on the bend exceed e^{-u} by 1e3 at u = 10 and 1e12 at
+# u = 30, so the sum's own rounding, not the refinement difference, limits
+# the result: at u = 30 at 64 bits the levels never agree to 1e-9.
+@pytest.mark.parametrize("u", [10, 25, 30])
+def test_contour_estimate_covers_rounding_at_large_u(u):
+    con = contour_apply(CutoffFunction("constant"), (-0.5j,), u, 1.0)
+    with mp.workprec(256):
+        assert abs(con.value - mp.exp(-mp.mpf(u))) <= con.error
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_contour_estimate_bounds_error_against_residue_series(n):
     con = contour_apply(POLE, CRITERION_4_W[n], 1.0, 1.0, CFG3)

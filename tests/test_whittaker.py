@@ -3,13 +3,14 @@ import random
 
 import mpmath as mp
 import pytest
-from oracles import GiventalPattern, givental_action, integrate_nd
+from oracles import GiventalPattern, gauss_legendre_pattern_3, givental_action, integrate_nd
 
 from qwlab.gamma import gamma_c
 from qwlab.qcore import DomainError
 from qwlab.quadrature import QuadratureConfig
 from qwlab.whittaker import (
-    _interior_box,
+    _pattern_lattice,
+    _pattern_sum_3,
     pair_coupling,
     pair_profile,
     sklyanin_m,
@@ -118,29 +119,38 @@ def test_whittaker_triple_matches_givental_recursion_step():
 
 @pytest.mark.parametrize("prec_bits", [None, 128])
 def test_whittaker_triple_same_nodes_as_raw_pattern_integral(prec_bits):
-    # The factorised N = 3 sum against exp(givental_action) summed as a plain
-    # tensor product over the same Gauss-Legendre nodes and levels: they
-    # differ only by rounding, at either working precision.  x enters as
-    # mpf so that both sides build the same box.
-    lam = (0.5, 0.1, -0.4)
+    # One level of the lattice sum against exp(givental_action) summed node
+    # by node over the same lattice: row 2 on z = k h inside its windows,
+    # row 1 on the half lattice (i + j + 2m) h / 2 inside [z2 - L, z1 + L].
+    # They differ only by rounding, at either working precision; target 0.2
+    # keeps the lattice coarse.
+    lam = tuple(mp.mpc(v) for v in (0.5, 0.1, -0.4))
     x = tuple(mp.mpf(v) for v in (0.4, 0.0, -0.4))
-    cfg = QuadratureConfig(box_halfwidth=1.0, target_rel_error=0.2,
-                           prec_bits=prec_bits)
-    raw = integrate_nd(
-        lambda pt: mp.exp(givental_action(
-            lam, GiventalPattern(((pt[0],), (pt[1], pt[2]), x)))),
-        [_interior_box(x, cfg, pad=7.0)] + [_interior_box(x, cfg)] * 2, cfg)
-    tuned = whittaker_eval(lam, x, cfg)
-    assert raw.diagnostics["levels"] == tuned.diagnostics["levels"]
+    cfg = QuadratureConfig(target_rel_error=0.2, prec_bits=prec_bits)
+    with mp.workprec(cfg.integrand_prec()):
+        h, L = _pattern_lattice(lam, x, cfg.target_rel_error)
+        tuned = _pattern_sum_3(lam, x, h, L)
+        terms = []
+        for i in range(int(mp.ceil((x[1] - L) / h)), int(mp.floor((x[0] + L) / h)) + 1):
+            for j in range(int(mp.ceil((x[2] - L) / h)), int(mp.floor((x[1] + L) / h)) + 1):
+                z1, z2 = i * h, j * h
+                reach = int(2 * L / h) + 2
+                for m in range(-(i - j) - reach, reach + 1):
+                    y = (i + j + 2 * m) * h / 2
+                    if z2 - L <= y <= z1 + L:
+                        pattern = GiventalPattern(((y,), (z1, z2), x))
+                        terms.append(mp.exp(givental_action(lam, pattern)))
+        raw = h ** 3 * mp.fsum(terms)
+    assert len(terms) > 500
     bound = mp.mpf(2) ** -(cfg.working_prec() - 8)
-    assert abs(raw.value - tuned.value) <= bound * abs(tuned.value)
+    assert abs(raw - tuned) <= bound * abs(tuned)
 
 
 @pytest.mark.parametrize("target", [1e-10, 1e-12])
 def test_whittaker_triple_weyl_invariance_within_error_estimates(target):
     # psi_lam is symmetric in lam: all six orderings agree within the sum of
-    # their reported error estimates.  At 1e-12 this sees a row-1 window that
-    # truncates at ~1e-11.
+    # their reported error estimates.  The lattice sum singles out lam3, so
+    # the orderings run different sums, on windows sized from the target.
     x = (0.4, 0.0, -0.4)
     cfg = QuadratureConfig(target_rel_error=target)
     results = [whittaker_eval(perm, x, cfg)
@@ -149,9 +159,15 @@ def test_whittaker_triple_weyl_invariance_within_error_estimates(target):
         assert abs(a.value - b.value) <= a.error + b.error
 
 
-def test_whittaker_triple_exponential_count_is_quadratic(monkeypatch):
-    # Two levels of 24 and 48 nodes: the factorised sum takes about
-    # 2 n^2 exponentials per level, the tensor sum n^3.
+def test_whittaker_triple_exponential_count_is_linear(monkeypatch):
+    # The benchmark's N = 3 point stops after two levels, and a level takes
+    # O(n) exponentials for n lattice nodes per axis: halving the step about
+    # doubles the count, where a sum factorised per row-1 node would
+    # quadruple it and a node-by-node sum multiply it by eight.
+    lam = tuple(mp.mpc(v) for v in (0.5, 0.1, -0.4))
+    x = tuple(mp.mpf(v) for v in (0.4, 0.0, -0.4))
+    cfg = QuadratureConfig(target_rel_error=1e-9)
+    assert whittaker_eval(lam, x, cfg).diagnostics["levels"] == 2
     calls = [0]
     exp = mp.exp
 
@@ -160,10 +176,15 @@ def test_whittaker_triple_exponential_count_is_quadratic(monkeypatch):
         return exp(*args, **kwargs)
 
     monkeypatch.setattr(mp, "exp", counting_exp)
-    cfg = QuadratureConfig(box_halfwidth=2.5, target_rel_error=1e-9)
-    res = whittaker_eval((0.5, 0.1, -0.4), (0.4, 0.0, -0.4), cfg)
-    assert res.diagnostics["levels"] == 2
-    assert calls[0] < 3 * (24**2 + 48**2)
+    counts = []
+    with mp.workprec(cfg.integrand_prec()):
+        h0, L = _pattern_lattice(lam, x, cfg.target_rel_error)
+        for level in range(3):
+            calls[0] = 0
+            _pattern_sum_3(lam, x, h0 / 2**level, L)
+            counts.append(calls[0])
+    assert counts[0] > 100
+    assert counts[1] < 2.2 * counts[0] and counts[2] < 2.2 * counts[1]
 
 
 def test_whittaker_reflection_symmetry():
@@ -180,15 +201,58 @@ def test_whittaker_permutation_invariance_pair():
     assert abs(a.value - b.value) / abs(a.value) < mp.mpf("1e-9")
 
 
-def test_whittaker_box_doubling_within_error():
-    # N = 3 at criterion 8's point: the N = 2 profile has no box.  Box 6
-    # caps the row-1 pad at 6 instead of 7.
+def _givental_step_reference(lam, x):
+    """psi_lam(x) at N = 3 from one Givental recursion step with the GL(2)
+    closed form, as in test_whittaker_triple_matches_givental_recursion_step,
+    at 100 bits on h = 0.2 and pad 6: about 1e-20 relative, far below the
+    estimates it is checked against."""
+    with mp.workprec(100):
+        l1, l2, l3 = (mp.mpc(v) for v in lam)
+        x1, x2, x3 = (mp.mpf(v) for v in x)
+        h = mp.mpf("0.2")
+        lo = min(x) - 6
+        n = int(mp.ceil((max(x) + 6 - lo) / h))
+        zs = [lo + h * k for k in range(n + 1)]
+        rate = 1j * (l1 + l2 - 2 * l3) / 2
+        a = [mp.exp(rate * z - mp.exp(z - x1) - mp.exp(x2 - z)) for z in zs]
+        b = [mp.exp(rate * z - mp.exp(z - x2) - mp.exp(x3 - z)) for z in zs]
+        gl2 = {d: 2 * mp.besselk(1j * (l1 - l2), 2 * mp.exp(-h * d / 2))
+               for d in range(-n, n + 1)}
+        total = mp.fsum(a[i] * b[j] * gl2[i - j] for i in range(n + 1) for j in range(n + 1))
+        return h * h * mp.exp(1j * l3 * (x1 + x2 + x3)) * total
+
+
+_N3_RNG = random.Random("n3-estimates")
+N3_POINTS = [((0.5, 0.1, -0.4), (0.4, 0.0, -0.4))] + [
+    (tuple(round(_N3_RNG.uniform(-1, 1), 4) for _ in range(3)),
+     tuple(round(_N3_RNG.uniform(-1, 1), 4) for _ in range(3)))
+    for _ in range(3)]
+N3_REFERENCES = {}
+
+
+@pytest.mark.parametrize("target", [1e-8, 1e-10, 1e-12])
+def test_whittaker_triple_estimate_bounds_true_error(target):
+    # Criterion 8's point and three seeded points: the windows' truncation is
+    # invisible to the refinement estimate, so only an independent reference
+    # shows that it stays below the estimate.
+    cfg = QuadratureConfig(target_rel_error=target)
+    for lam, x in N3_POINTS:
+        if (lam, x) not in N3_REFERENCES:
+            N3_REFERENCES[(lam, x)] = _givental_step_reference(lam, x)
+        res = whittaker_eval(lam, x, cfg)
+        with mp.workprec(100):
+            assert abs(res.value - N3_REFERENCES[(lam, x)]) <= res.error
+
+
+def test_whittaker_triple_matches_gauss_legendre_oracle():
+    # The composite Gauss-Legendre pattern sum on a wide box (row 1 padded
+    # by 12 about the top-row hull, row 2 by 5) at criterion 8's point.
     lam, x = (0.5, 0.1, -0.4), (0.4, 0.0, -0.4)
-    r1 = whittaker_eval(lam, x, QuadratureConfig(box_halfwidth=6.0,
-                                                 target_rel_error=1e-10))
-    r2 = whittaker_eval(lam, x, QuadratureConfig(box_halfwidth=12.0,
-                                                 target_rel_error=1e-10))
-    assert abs(r1.value - r2.value) <= r1.error + r2.error + mp.mpf("1e-20")
+    cfg = QuadratureConfig(target_rel_error=1e-10)
+    oracle = gauss_legendre_pattern_3(lam, x, (min(x) - 12, max(x) + 12),
+                                      (min(x) - 5, max(x) + 5), cfg)
+    tuned = whittaker_eval(lam, x, cfg)
+    assert abs(oracle.value - tuned.value) <= oracle.error + tuned.error
 
 
 def test_separation_matches_pattern_integral():
