@@ -51,10 +51,14 @@ width W of its fixed-point weights.
 Spectral form.  The eigenrelation's right side integrates, along the lines
 R + i a_shift, the display-free factor e^{i xi log u} prod_j Gamma(-i xi - i w_j)
 times the Whittaker phase e^{-+i xi x} of the `second` or `first` display.
-The two displays differ only in that phase, so `_spectral_axis` tabulates
-the factor once per refinement level on the `nodes_1d` axis, memoised on
-(w, log u, a_shift, T, level, node precision, working precision), and both
-displays of a pair read one table: the second evaluates no Gamma function.
+The factor is analytic down to the first Gamma pole row, a_shift - max(-Im w_j)
+below the line, and decays along it, so each axis is summed by the nested
+trapezoid rule on the `nodes_1d` lattice (`_spectral_lattice`).  The two
+displays differ only in the phase, so `_spectral_axis` tabulates the factor
+at the points each refinement level adds, memoised on
+(w, log u, a_shift, h0, T, level, working precision), and both displays of a
+pair read one table: each Gamma factor is evaluated once per lattice point,
+and the second display evaluates none.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from mpmath.libmp import mpf_cos_sin, mpf_mul, to_fixed
 
 from .gamma import GammaPoleError, gamma_c
 from .qcore import DomainError, QwlabError, compositions_of_weight
-from .quadrature import QuadratureConfig, QuadResult, nodes_1d, refine
+from .quadrature import TERM_ULPS, QuadratureConfig, QuadResult, nodes_1d, refine, trapezoid_refine
 from .report import VerificationReport, comparison_report
 from .whittaker import profile_grid, whittaker_eval
 
@@ -210,20 +214,16 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
 
 
 CONTOUR_NODE_BUDGET = 2048
-# Ulps of rounding per term of the contour sum: its node, weight, u^-xi,
-# Gamma factors and f each round.  At N = 1 and u <= 28 the sum's rounding
-# error reached 2 ulps of the terms' modulus mass, coherently.
-CONTOUR_TERM_ULPS = 8
 
 
 def _hyperbola(w, a: float, u: float, cfg: QuadratureConfig):
     """The contour xi(s) = a - nu (cosh s - 1) + i nu sinh s, |s| <= s_max,
     oriented upward: it crosses Re xi = a at height 0 and bends left, with
     asymptotes at 45 degrees.  Returns (new_nodes, height): new_nodes(level)
-    gives the (xi, W) pairs, W = h xi'(s), that the step h = h0 / 2^level
-    adds to the trapezoid sum (s = j h, |j h| <= s_max, j odd past level 0),
-    so a level's sum is half the last level's plus its own; height bounds
-    |Im xi| on the contour.
+    gives the (xi, W) pairs, W = h xi'(s), at the points s of
+    nodes_1d(level, -s_max, s_max, h0), those the step h = h0 / 2^level adds
+    to the trapezoid sum, so a level's sum is half the last level's plus
+    its own; height bounds |Im xi| on the contour.
 
     nu starts at max(1, D + 1, u/e), D = max |Re w_i|, so that the bend lies
     above the poles and beyond |xi| = u/e, where u^-xi outgrows the Gamma
@@ -264,12 +264,9 @@ def _hyperbola(w, a: float, u: float, cfg: QuadratureConfig):
 
     def new_nodes(level):
         h = h0 / 2**level
-        top = math.floor(s_max / float(h))
         out = []
-        for j in range(-top, top + 1):
-            if level and not j % 2:
-                continue
-            ch, sh = mp.cosh(j * h), mp.sinh(j * h)
+        for s in nodes_1d(level, -s_max, s_max, h0):
+            ch, sh = mp.cosh(s), mp.sinh(s)
             out.append((mp.mpc(a - nu_mp * (ch - 1), nu_mp * sh), h * nu_mp * mp.mpc(-sh, ch)))
         return out
 
@@ -323,7 +320,7 @@ def contour_apply(f: TestFunction, w, u, a: float,
     guard_bits = _guard_bits(height * (n * n // 2) / 2)
     # The sum's terms can exceed the result by far (u^-xi outgrows the Gamma
     # decay on the bend when u is large), and each term carries its own
-    # rounding: CONTOUR_TERM_ULPS 2^-prec times the terms' modulus mass,
+    # rounding: TERM_ULPS 2^-prec times the terms' modulus mass,
     # measured at level 0.  Where that would exceed the target at a level's
     # value T, the working precision rises by log2(mass/|T|) and the levels
     # so far are summed again.  Level 0's T cannot stand for the result: at
@@ -332,7 +329,7 @@ def contour_apply(f: TestFunction, w, u, a: float,
     sum_at, mass = _contour_levels(f, w, u, new_nodes, prec, guard_bits)
 
     def rounding():
-        return CONTOUR_TERM_ULPS * mass[0] / 2**prec
+        return TERM_ULPS * mass[0] / 2**prec
 
     def value_at(level):
         nonlocal prec, sum_at, mass
@@ -566,8 +563,11 @@ def baxter_eigen_check(w, u, x, which: str = "second",
     and breaks the identity.  The result is independent of the shift, which
     the tests exercise, up to the truncation of the N = 2 spectral box at
     the fixed T = 12: a higher line weakens the Gamma decay at |t| = T, so
-    the dropped tails grow (relative error 1e-7 at a_shift = 2, 9e-4 at 3
-    and 0.34 at 4 on criterion 6's inputs; with T = 20, 2e-13 at 2).
+    the dropped tails grow.  On criterion 6's inputs the relative error is
+    3.2e-8 at a_shift = 1.1 and 1.7e-7 at 2, each inside the estimate; at 3
+    and 4 the cut tails are not small, the lattice sum converges only to
+    first order, and the check raises QuadratureError instead of returning
+    a value its estimate does not cover.
     The relative tolerance defaults to 1e-6 at N = 1 and 1e-3 at N = 2.
 
     Both displays integrate the same Gamma product on the spectral line; it
@@ -615,25 +615,20 @@ def baxter_eigen_check(w, u, x, which: str = "second",
         uw = mp.exp(1j * mp.fsum([wi for wi in w]) * log_u)
 
         if n == 1:
-            T = max(30.0, 2 * (-math.log(cfg.target_rel_error * 1e-2)) / math.pi
-                    + abs(float(mp.re(w[0]))) + abs(float(x[0])))
+            h0, need = _spectral_lattice(w, a_shift, cfg)
+            T = max(30.0, 2 * need / math.pi + abs(float(mp.re(w[0]))) + abs(float(x[0])))
             work = cfg.integrand_prec()
 
-            def value_at(level):
-                # integrate_1d's sum, with the integrand's display-free factor
-                # read from the shared table.
-                total = mp.mpf(0)
-                table = _spectral_axis(w, log_u, a_shift, T, level, prec, work)
-                for (t, wt), h in zip(nodes_1d(level, -T, T, prec), table):
-                    xi = t + 1j * a_shift
-                    total = total + wt * (h * mp.exp(sign * 1j * xi * x[0]))
-                return total
+            def terms_at(level):
+                # The display-free factor from the shared table, times this
+                # display's Whittaker phase.
+                return [g * mp.exp(sign * 1j * (t + 1j * a_shift) * x[0])
+                        for t, g in _spectral_axis(w, log_u, a_shift, h0, T, level, work)]
 
             with mp.workprec(work):
-                quad = refine(value_at, range(cfg.max_depth), cfg,
-                              f"1-d quadrature on [{-T}, {T}]")
+                quad = trapezoid_refine(terms_at, h0, cfg, f"1-d quadrature on [{-T}, {T}]")
             rhs = uw * quad.value / (2 * mp.pi)
-            diag = {"quad_error": quad.error, "T": T, "a_shift": a_shift}
+            diag = {**quad.diagnostics, "quad_error": quad.error, "T": T, "a_shift": a_shift}
         else:
             rhs, diag = _baxter_pair_integral(w, u, x, sign, a_shift, cfg, prec)
     return comparison_report(
@@ -646,27 +641,37 @@ def baxter_eigen_check(w, u, x, which: str = "second",
     )
 
 
+def _spectral_lattice(w, a_shift, cfg: QuadratureConfig):
+    """(h0, need) for the spectral line R + i a_shift: need =
+    -log(target 1e-2) also sizes the box T, and the integrand is analytic
+    down to the first Gamma pole row, a_shift - max(-Im w_j) below the
+    line, so h0 = 2 pi strip / need puts level 0's error near e^{-need}."""
+    need = -math.log(cfg.target_rel_error * 1e-2)
+    strip = a_shift - max(-float(mp.im(wi)) for wi in w)
+    return 2 * math.pi * strip / need, need
+
+
 @lru_cache(maxsize=8)
-def _spectral_axis(w, log_u, a_shift, T, level: int, prec: int, work: int) -> tuple:
+def _spectral_axis(w, log_u, a_shift, h0, T, level: int, work: int) -> tuple:
     """The display-free factor of the spectral integrand,
 
-        h(t) = e^{i xi log u} (Gamma(-i xi - i w_1) ... Gamma(-i xi - i w_N)),
+        g(t) = e^{i xi log u} (Gamma(-i xi - i w_1) ... Gamma(-i xi - i w_N)),
         xi = t + i a_shift,
 
-    at each node t of nodes_1d(level, -T, T, prec), evaluated at `work` bits,
-    the precision of the caller's sum.  The two displays differ only in the
-    Whittaker phase e^{-+i xi x} they multiply it by, so a pair reads one
-    table.  Memoised on every argument, `work` included; the 8 entries hold
-    every refinement level of one pair.  Only the factors are kept: the
-    caller walks the same nodes_1d list beside them."""
+    as (t, g(t)) pairs at the points t of nodes_1d(level, -T, T, h0), the
+    points the level adds, evaluated at `work` bits, the precision of the
+    caller's sum.  The two displays differ only in the Whittaker phase
+    e^{-+i xi x} they multiply it by, so a pair reads one table.  Memoised on
+    every argument, `work` included; the 8 entries hold every refinement
+    level of one pair."""
     with mp.workprec(work):
         out = []
-        for t, _ in nodes_1d(level, -T, T, prec):
+        for t in nodes_1d(level, -T, T, h0):
             xi = t + 1j * a_shift
             gammas = gamma_c(-1j * xi - 1j * w[0])
             for wj in w[1:]:
                 gammas = gammas * gamma_c(-1j * xi - 1j * wj)
-            out.append(mp.exp(1j * xi * log_u) * gammas)
+            out.append((t, mp.exp(1j * xi * log_u) * gammas))
         return tuple(out)
 
 
@@ -674,22 +679,27 @@ def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: i
     """N = 2 spectral integral along (R + i a_shift)^2 with the Whittaker
     factor reduced to the relative-coordinate profile chi(xi_1 - xi_2),
     which only sees the real parts, on `profile_grid` at rate 0, level 0.
-    The double sum over the spectral nodes is `_rank8_pair_sum`."""
+    Level k sums over every node pair of the h0 / 2^k lattice on [-T, T],
+    the union of the `_spectral_axis` tables of levels 0..k, at weight
+    h0 / 2^k per node; the double sum is `_rank8_pair_sum`."""
     sigma = (x[0] + x[1]) / 2
     s = x[0] - x[1]
     z = 2 * mp.exp(-s / 2)
     log_u = mp.log(u)
     uw = mp.exp(1j * (w[0] + w[1]) * log_u)
 
-    T = max(12.0, 2 * (-math.log(cfg.target_rel_error * 1e-2)) / math.pi)
+    h0, need = _spectral_lattice(w, a_shift, cfg)
+    T = max(12.0, 2 * need / math.pi)
     h, omegas = profile_grid(z, cfg.target_rel_error, 2 * T)
+    axis = []
 
     def value_at(level):
-        table = _spectral_axis(w, log_u, a_shift, T, level, prec, prec)
         # phase from psi_{sign * xi}: e^{sign * i xi sigma} per coordinate
-        axis = [(t, wt * (h_t * mp.exp(sign * 1j * (t + 1j * a_shift) * sigma)))
-                for (t, wt), h_t in zip(nodes_1d(level, -T, T, prec), table)]
-        return uw * _rank8_pair_sum(axis, h, omegas, prec, T) / ((2 * mp.pi) ** 2 * 2)
+        axis.extend((t, g * mp.exp(sign * 1j * (t + 1j * a_shift) * sigma))
+                    for t, g in _spectral_axis(w, log_u, a_shift, h0, T, level, prec))
+        weight = mp.mpf(h0) / 2**level
+        return (uw * weight**2 * _rank8_pair_sum(axis, h, omegas, prec, T)
+                / ((2 * mp.pi) ** 2 * 2))
 
     quad = refine(value_at, range(min(cfg.max_depth, 4)), cfg, "spectral quadrature")
     return quad.value, {**quad.diagnostics, "quad_error": quad.error,

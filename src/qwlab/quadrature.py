@@ -1,28 +1,28 @@
-"""Adaptive quadrature over truncated boxes, in mpmath arithmetic.
-
-The one rule is composite Gauss-Legendre: fixed-order panels, refined by
-doubling the panel count.  Every lab integrand is smooth on its truncated
-box, and the tests anchor the rule against closed forms.  The spectral
-sums of the dual Baxter checks are built on the same node sets.  The
-exceptions are trapezoid sums: the GL(2) profile 2 K_{i delta}(z) (the N = 2
-Whittaker function and the N = 2 spectral sum's chi grid) on
-`whittaker.profile_grid`, the N = 3 pattern sum on one uniform lattice
-(`whittaker._pattern_sum_3`), and the contour sum on one hyperbola.
+"""Refined quadrature in mpmath arithmetic: one stopping rule, one lattice.
 
 `refine` is the one place the stopping rule lives: refinement stops when
 two successive levels agree to the target relative error, and the last
 disagreement is reported as the error estimate.  Every refined value in the
-lab (these integrals, the profile sum, the N = 3 pattern sum, the contour
-and spectral sums of the dual Baxter checks) goes through it.  The contour
-sum is a trapezoid sum on one smooth contour whose levels nest, so each of
-its levels evaluates only the nodes the level adds (`baxter._hyperbola`).
+lab goes through it.
+
+The one rule for 1-d sums is the nested trapezoid rule on the lattice
+t = j h0 / 2^k.  The lab's integrands (Gamma products on a spectral line,
+cutoff integrals, K-Bessel products) are analytic in a strip about the real
+line and decay along it, and there the rule converges geometrically
+(Trefethen & Weideman, SIAM Rev. 56, 2014).  Its levels nest: `nodes_1d`
+gives the points a level adds, so a level's sum is half the last level's
+plus its own, and each point is evaluated once (`trapezoid_refine`,
+`integrate_1d`).  The Stade integrals, the spectral sums of the dual Baxter
+checks and the contour sum on its hyperbola all read `nodes_1d`.  Two
+grids keep their own form: the GL(2) profile (`whittaker.profile_grid`),
+folded onto m >= 0, and the N = 3 pattern lattice
+(`whittaker._pattern_sum_3`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import mpmath as mp
 
@@ -37,10 +37,11 @@ class QuadratureError(QwlabError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    # Nothing reads `scheme` or `box_halfwidth`: composite Gauss-Legendre is
-    # the only rule of `integrate_1d`, and each truncated window is fixed or
-    # sized by its caller.  Both fields stay while the benchmark workloads
-    # still pass them, and go with the benchmark mends (ROADMAP item 5).
+    # Nothing reads `scheme` or `box_halfwidth`: the one scheme value names
+    # no rule in src (the panel rule it named is the tests' oracle now), and
+    # each truncated window is sized by its caller.  Both fields stay while
+    # the benchmark workloads still pass them, and go with the benchmark
+    # mends (ROADMAP item 5).
     scheme: str = GAUSS_LEGENDRE
     box_halfwidth: float = 12.0
     target_rel_error: float = 1e-10
@@ -74,51 +75,25 @@ class QuadResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-GL_ORDER = 12
+# Ulps of rounding per term of a trapezoid sum, against the sum of the
+# terms' moduli: each term's node, weight and integrand factors round.  On
+# the contour (`baxter.contour_apply`) at N = 1 and u <= 28 the sum's
+# rounding error reached 2 ulps of that mass, coherently.
+TERM_ULPS = 8
 
 
-@lru_cache(maxsize=None)
-def gauss_legendre_rule(prec: int) -> tuple:
-    """GL_ORDER nodes/weights on [-1, 1], Newton-refined to the requested
-    precision."""
-    order = GL_ORDER
-    with mp.workprec(prec + 20):
-        nodes = []
-        for k in range(1, order + 1):
-            x = mp.mpf(math.cos(math.pi * (k - 0.25) / (order + 0.5)))
-            for _ in range(60):
-                p0, p1 = mp.mpf(1), x
-                for n in range(2, order + 1):
-                    p0, p1 = p1, ((2 * n - 1) * x * p1 - (n - 1) * p0) / n
-                dp = order * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
-                x = x - dx
-                if abs(dx) < mp.mpf(2) ** (-(prec + 10)):
-                    break
-            p0, p1 = mp.mpf(1), x
-            for n in range(2, order + 1):
-                p0, p1 = p1, ((2 * n - 1) * x * p1 - (n - 1) * p0) / n
-            dp = order * (x * p1 - p0) / (x * x - 1)
-            w = 2 / ((1 - x * x) * dp * dp)
-            nodes.append((+x, +w))
-        return tuple(nodes)
-
-
-def nodes_1d(level: int, lo, hi, prec: int) -> tuple:
-    """Composite Gauss-Legendre nodes/weights on [lo, hi]: ceil(width / 3)
-    panels of GL_ORDER points, doubled at each refinement level."""
-    lo, hi = mp.mpf(lo), mp.mpf(hi)
-    width = hi - lo
-    panels = max(1, int(mp.ceil(width / 3))) * 2**level
-    step = width / panels
-    rule = gauss_legendre_rule(prec)
-    half = step / 2
-    out = []
-    for p in range(panels):
-        mid = lo + p * step + half
-        for x, w in rule:
-            out.append((mid + half * x, half * w))
-    return tuple(out)
+def nodes_1d(level: int, lo, hi, h0) -> list:
+    """The lattice points t = j h, h = h0 / 2^level, that the level adds
+    inside [lo, hi], in increasing order: every j at level 0, odd j after
+    that, so levels 0..k together give each point of the h0 / 2^k lattice
+    on [lo, hi] once.  A point belongs to [lo, hi] as computed, j times h at
+    the working precision, so every level agrees on the ends."""
+    h = mp.mpf(h0) / 2**level
+    first, last = int(mp.floor(lo / h)), int(mp.ceil(hi / h))
+    if level and not first % 2:
+        first += 1
+    points = (j * h for j in range(first, last + 1, 2 if level else 1))
+    return [t for t in points if lo <= t <= hi]
 
 
 def refine(value_at, levels, cfg: QuadratureConfig, label: str) -> QuadResult:
@@ -140,16 +115,47 @@ def refine(value_at, levels, cfg: QuadratureConfig, label: str) -> QuadResult:
     )
 
 
-def integrate_1d(f, lo, hi, cfg: QuadratureConfig) -> QuadResult:
-    """Adaptive 1-d integral of f over [lo, hi]."""
-    prec = cfg.working_prec()
-    label = f"1-d quadrature on [{lo}, {hi}]"
+def trapezoid_refine(terms_at, h0, cfg: QuadratureConfig, label: str) -> QuadResult:
+    """The nested trapezoid rule through `refine`: terms_at(level) gives the
+    integrand at the points nodes_1d(level, ..., h0) adds, and level k's value
+    is S_k = S_{k-1}/2 + h_k sum(terms_at(k)), h_k = h0 / 2^k, the trapezoid
+    sum on the level-k lattice with each point evaluated once.
+
+    The error field adds the sum's rounding to the last difference:
+    TERM_ULPS units of 2^-prec of h_k sum |terms| through level k, prec
+    being the precision the caller sets around the call.  Two levels can
+    agree in every bit, and the estimate still is not 0."""
+    total = mass = mp.mpf(0)
 
     def value_at(level):
-        total = mp.mpf(0)
-        for x, w in nodes_1d(level, lo, hi, prec):
-            total = total + w * f(x)
+        nonlocal total, mass
+        h = mp.mpf(h0) / 2**level
+        terms = terms_at(level)
+        total = total / 2 + h * mp.fsum(terms)
+        mass = mass / 2 + h * mp.fsum(abs(v) for v in terms)
         return total
 
+    res = refine(value_at, range(cfg.max_depth), cfg, label)
+    return QuadResult(res.value, res.error + TERM_ULPS * mass / 2**mp.mp.prec, res.diagnostics)
+
+
+def lattice_need(target: float) -> float:
+    """need = -log(target) + 12, in e-folds: level 0 of `integrate_1d` puts
+    the trapezoid error near e^{-need}, and its callers cut their windows'
+    tails at e^{-2 need}."""
+    return -math.log(target) + 12
+
+
+def integrate_1d(f, lo, hi, cfg: QuadratureConfig, strip) -> QuadResult:
+    """integral of f over [lo, hi] by `trapezoid_refine` on the lattice
+    t = j h0 / 2^k, h0 = 2 pi strip / need, need = lattice_need(target).
+    For f analytic and integrable in |Im t| < strip, the trapezoid error is
+    about e^{-2 pi strip / h} times the integral of |f| on the strip's edges
+    (Trefethen & Weideman, SIAM Rev. 56, 2014): near e^{-need} at level 0,
+    squared at each halving.  The refinement cannot see truncation, so the
+    caller's window must cut the tails far below that, at e^{-2 need}."""
+    h0 = 2 * math.pi * strip / lattice_need(cfg.target_rel_error)
+    label = f"1-d quadrature on [{lo}, {hi}]"
     with mp.workprec(cfg.integrand_prec()):
-        return refine(value_at, range(cfg.max_depth), cfg, label)
+        return trapezoid_refine(lambda level: [f(t) for t in nodes_1d(level, lo, hi, h0)],
+                                h0, cfg, label)

@@ -30,13 +30,14 @@ row-1 sum in the profile's own trapezoid form, refined by halving the step.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import mpmath as mp
 
 from .gamma import gamma_c
 from .qcore import DomainError
-from .quadrature import QuadratureConfig, QuadResult, integrate_1d, refine
+from .quadrature import QuadratureConfig, QuadResult, integrate_1d, lattice_need, refine
 from .report import VerificationReport, comparison_report
 
 MAX_WHITTAKER_N = 3
@@ -243,13 +244,14 @@ def pair_coupling(delta) -> mp.mpc:
 
 def _cutoff_box(rate, u, target):
     """[lo, hi] for integrals of e^{-u e^y} e^{rate y}: double-exponential on
-    the right, rate-exponential on the left."""
+    the right, rate-exponential on the left, each tail cut at e^{-2 need},
+    need = lattice_need(target)."""
     rate = mp.re(mp.mpc(rate))
     if rate <= 0:
         raise DomainError("cutoff integral needs a positive decay rate")
-    need = -mp.log(mp.mpf(target)) + 12
-    hi = mp.log((need + rate * 10) / u + 3) + 2
-    lo = -(need / rate) - 2
+    cut = 2 * lattice_need(target)
+    hi = mp.log((cut + rate * 10) / u + 3) + 2
+    lo = -(cut / rate) - 2
     return float(lo), float(hi)
 
 
@@ -268,9 +270,11 @@ def stade_check(u, lam, nu, which: str = "first",
     cutoff integral at rate sum(lam + nu), times a relative-coordinate
     integral over s = x_1 - x_2 of the two GL(2) profiles, whose closed form
     is the K-Bessel function (see `_stade_relative_integral`).  Both
-    integrals are numeric; the right side is the Gamma product.  cfg
-    defaults to composite Gauss-Legendre at a 1e-11 target for both N, and
-    the relative tolerance to 1e-8 at N = 1 and 1e-4 at N = 2.
+    integrals are numeric, each by `integrate_1d`'s nested trapezoid rule
+    on a window whose tails are cut at e^{-2 need}, where the refinement
+    difference cannot see them; the right side is the Gamma product.  cfg
+    defaults to a 1e-11 target for both N, and the relative tolerance to
+    1e-8 at N = 1 and 1e-4 at N = 2.
 
     The relative-coordinate integral is the same for both displays and is
     memoised on (lam, nu, rate, cfg, ambient precision), so the second
@@ -303,12 +307,14 @@ def stade_check(u, lam, nu, which: str = "first",
     box = _cutoff_box(total_rate, u, cfg.target_rel_error)
     with mp.workprec(cfg.integrand_prec()):
         rate = sum(lam) + sum(nu)
+    # e^{-u e^y} keeps its double-exponential decay for |Im y| < pi/2;
+    # the lattice takes half that strip.
     if which == "first":
         f = lambda y: mp.exp(-u * mp.exp(y) + rate * y)
-        com = integrate_1d(f, box[0], box[1], cfg)
+        com = integrate_1d(f, box[0], box[1], cfg, math.pi / 4)
     else:
         f = lambda y: mp.exp(-u * mp.exp(-y) - rate * y)
-        com = integrate_1d(f, -box[1], -box[0], cfg)
+        com = integrate_1d(f, -box[1], -box[0], cfg, math.pi / 4)
 
     if n == 1:
         lhs = com.value
@@ -355,8 +361,8 @@ def _stade_relative_integral(lam, nu, rate, cfg: QuadratureConfig, prec: int) ->
         right_rate = (mp.re(rate) - spread) / 2
         if right_rate <= 0:
             raise DomainError("relative-coordinate integral does not converge")
-        need = -mp.log(mp.mpf(cfg.target_rel_error)) + 12
-        s_hi = float(need / right_rate + 5)
+        need = lattice_need(cfg.target_rel_error)
+        s_hi = float(2 * need / right_rate + 5)
         s_lo = -float(2 * mp.log(need) + 6)
 
         with mp.workprec(cfg.integrand_prec()):
@@ -368,5 +374,7 @@ def _stade_relative_integral(lam, nu, rate, cfg: QuadratureConfig, prec: int) ->
             return (4 * mp.exp(-rate * s / 2)
                     * mp.besselk(order_lam, z) * mp.besselk(order_nu, z))
 
-        res = integrate_1d(fs, s_lo, s_hi, cfg)
+        # K(2 e^{-s/2}) keeps its decay for |Im s| < pi; the lattice takes
+        # half that strip.
+        res = integrate_1d(fs, s_lo, s_hi, cfg, math.pi / 2)
         return res.value, res.error

@@ -6,13 +6,15 @@ be checked against it.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
 from qwlab.qcore import DomainError
-from qwlab.quadrature import QuadratureConfig, QuadResult, integrate_1d, nodes_1d, refine
+from qwlab.quadrature import QuadratureConfig, QuadResult, refine
 from qwlab.symfunc import (
     SingularMatrixError,
     SymmetricPolynomial,
@@ -84,15 +86,63 @@ def inner_product(f: SymmetricPolynomial, g: SymmetricPolynomial, q, t) -> Fract
     return acc
 
 
+GL_ORDER = 12
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre_rule(prec: int) -> tuple:
+    """GL_ORDER nodes/weights on [-1, 1], Newton-refined to the requested
+    precision."""
+    order = GL_ORDER
+    with mp.workprec(prec + 20):
+        nodes = []
+        for k in range(1, order + 1):
+            x = mp.mpf(math.cos(math.pi * (k - 0.25) / (order + 0.5)))
+            for _ in range(60):
+                p0, p1 = mp.mpf(1), x
+                for n in range(2, order + 1):
+                    p0, p1 = p1, ((2 * n - 1) * x * p1 - (n - 1) * p0) / n
+                dp = order * (x * p1 - p0) / (x * x - 1)
+                dx = p1 / dp
+                x = x - dx
+                if abs(dx) < mp.mpf(2) ** (-(prec + 10)):
+                    break
+            p0, p1 = mp.mpf(1), x
+            for n in range(2, order + 1):
+                p0, p1 = p1, ((2 * n - 1) * x * p1 - (n - 1) * p0) / n
+            dp = order * (x * p1 - p0) / (x * x - 1)
+            w = 2 / ((1 - x * x) * dp * dp)
+            nodes.append((+x, +w))
+        return tuple(nodes)
+
+
+def gauss_legendre_nodes(level: int, lo, hi, prec: int) -> tuple:
+    """Composite Gauss-Legendre nodes/weights on [lo, hi]: ceil(width / 3)
+    panels of GL_ORDER points, doubled at each refinement level.  Panel
+    nodes do not nest, so each level evaluates all of them afresh."""
+    lo, hi = mp.mpf(lo), mp.mpf(hi)
+    width = hi - lo
+    panels = max(1, int(mp.ceil(width / 3))) * 2**level
+    step = width / panels
+    rule = gauss_legendre_rule(prec)
+    half = step / 2
+    out = []
+    for p in range(panels):
+        mid = lo + p * step + half
+        for x, w in rule:
+            out.append((mid + half * x, half * w))
+    return tuple(out)
+
+
 def integrate_nd(f, boxes, cfg: QuadratureConfig) -> QuadResult:
     """Adaptive tensor-product integral over a list of [lo, hi] boxes: every
-    node tuple of the composite Gauss-Legendre axes, through `refine`."""
-    if len(boxes) == 1:
-        return integrate_1d(lambda x: f((x,)), boxes[0][0], boxes[0][1], cfg)
+    node tuple of the composite Gauss-Legendre axes, through `refine`.  An
+    independent rule beside the package's trapezoid lattice: it needs no
+    strip of analyticity and no decay at the ends of the box."""
     prec = cfg.working_prec()
 
     def value_at(level):
-        axes = [nodes_1d(level, lo, hi, prec) for lo, hi in boxes]
+        axes = [gauss_legendre_nodes(level, lo, hi, prec) for lo, hi in boxes]
         return _tensor_sum(f, axes, ())
 
     with mp.workprec(cfg.integrand_prec()):
@@ -171,12 +221,12 @@ def gauss_legendre_pattern_3(lam, x, row1, row2, cfg: QuadratureConfig) -> QuadR
 
         def value_at(level):
             ax1 = []
-            for t, wt in nodes_1d(level, row1[0], row1[1], prec):
+            for t, wt in gauss_legendre_nodes(level, row1[0], row1[1], prec):
                 E = mp.exp(t)
                 ax1.append((E, 1 / E, wt * mp.exp(d12 * t)))
             ax2 = []
             ax3 = []
-            for t, wt in nodes_1d(level, row2[0], row2[1], prec):
+            for t, wt in gauss_legendre_nodes(level, row2[0], row2[1], prec):
                 E = mp.exp(t)
                 iE = 1 / E
                 p23 = wt * mp.exp(d23 * t)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qwlab.baxter
+import qwlab.quadrature
 import qwlab.whittaker
 from qwlab.baxter import (
     TestFunction as CutoffFunction,
@@ -21,7 +22,7 @@ from qwlab.baxter import (
 )
 from qwlab.gamma import gamma_c
 from qwlab.qcore import DomainError
-from qwlab.quadrature import QuadratureConfig, nodes_1d
+from qwlab.quadrature import QuadratureConfig, QuadratureError, nodes_1d
 from qwlab.whittaker import (
     pair_coupling,
     pair_profile,
@@ -212,14 +213,14 @@ def test_eigen_shift_independence():
 # x = (0.2,), by (display, a_shift), as each display's own integrand summed
 # them; the shared spectral table reproduces them bit for bit.
 EIGEN_N1_BITS = {
-    ("second", None): (((0, 17593037521172931473, -65, 64), (0, 8454806213438475325, -68, 63)),
-                       (0, 18636584833300424542199195019, -131, 94)),
-    ("first", None): (((0, 1252810818439851409, -62, 61), (1, 4816574820242642503, -68, 63)),
-                      (0, 1985131251657179926040884701, -128, 91)),
-    ("second", 1.4): (((0, 17593037521172931479, -65, 64), (0, 1056850776679809421, -65, 60)),
-                      (0, 11860954742115361789969608873, -132, 94)),
-    ("first", 1.4): (((0, 10022486547518811277, -65, 64), (1, 9633149640485284941, -69, 64)),
-                     (0, 1263405104482255072545019151, -129, 91)),
+    ("second", None): (((0, 17593037521172931477, -65, 64), (0, 2113701553359618821, -66, 61)),
+                       (0, 11580648400850607431555026463, -127, 94)),
+    ("first", None): (((0, 10022486547518811275, -65, 64), (1, 9633149640485285081, -69, 64)),
+                      (0, 19736755213942068259543723577, -128, 94)),
+    ("second", 1.4): (((0, 8796518760586465739, -64, 63), (0, 2113701553359618821, -66, 61)),
+                      (0, 5790324199866493533240720087, -126, 93)),
+    ("first", 1.4): (((0, 10022486547518811275, -65, 64), (1, 1204143705060660635, -66, 61)),
+                     (0, 19736755213369906858740866979, -128, 94)),
 }
 
 
@@ -459,11 +460,12 @@ def test_lemma_rejects_a_negative_cap_before_the_contour(monkeypatch):
 
 
 def _spectral_axis(prec, rng):
-    """A nodes_1d axis on a random interval and level, with random complex
-    weights and a random uniform chi grid (h, omegas)."""
+    """The nodes_1d points of a random level on a random interval and
+    lattice, with random complex weights and a random uniform chi grid
+    (h, omegas)."""
     lo, hi = mp.mpf(rng.uniform(-3, 0)), mp.mpf(rng.uniform(0.5, 3))
     level = rng.randrange(3)
-    nodes = [t for t, _ in nodes_1d(level, lo, hi, prec)]
+    nodes = nodes_1d(level, lo, hi, rng.uniform(0.05, 0.2))
     weights = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in nodes]
     h = mp.mpf(rng.uniform(0.05, 0.3))
     omegas = [mp.mpf(rng.uniform(0, 1)) for _ in range(24)]
@@ -518,10 +520,10 @@ def test_chi_grid_matches_k_bessel(s):
 # trapezoid chi grid and the integer rank-8 kernel give them.  At
 # x = (0.3, -0.3) both displays give the same values.
 PAIR_INTEGRAL_BITS = {
-    1.1: (((0, 16400607836705477465, -67, 64), (1, 8414717645867098043, -72, 63)),
-          (0, 14206690659693711515, -84, 64)),
-    2.0: (((0, 16400608726196525813, -67, 64), (1, 8414737414337761217, -72, 63)),
-          (0, 8131960273406227233, -98, 63)),
+    1.1: (((0, 16400607672477328689, -67, 64), (1, 16829441616088344927, -73, 64)),
+          (0, 4771646707152758265, -86, 63)),
+    2.0: (((0, 16400604755163260333, -67, 64), (1, 16829344908266360455, -73, 64)),
+          (0, 11149978729747139411, -86, 64)),
 }
 
 
@@ -551,14 +553,8 @@ def _gl2_left_side(w, u, x, which):
             * 2 * mp.besselk(1j * (lam[0] - lam[1]), 2 * mp.exp(-(x[0] - x[1]) / 2)))
 
 
-TRUNCATED_BOX = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the spectral box is fixed at T = 12, and on this higher line its dropped "
-    "tails (true error 1.1e-8) exceed the refinement estimate (2.6e-11); "
-    "sizing T from a_shift is ROADMAP item 4"))
-
-
 @pytest.mark.parametrize("which", ["second", "first"])
-@pytest.mark.parametrize("a_shift", [1.1, pytest.param(2.0, marks=TRUNCATED_BOX)])
+@pytest.mark.parametrize("a_shift", [1.1, 2.0])
 def test_eigen_pair_error_estimate_bounds_true_error(a_shift, which):
     w = (mp.mpc(0.2, -0.5), mp.mpc(-0.1, -0.6))
     x = (mp.mpf(0.3), mp.mpf(-0.3))
@@ -566,6 +562,20 @@ def test_eigen_pair_error_estimate_bounds_true_error(a_shift, which):
     with mp.workprec(128):
         exact = _gl2_left_side(w, 1, x, which)
     assert abs(rep.rhs - exact) <= rep.diagnostics["quad_error"]
+
+
+@pytest.mark.parametrize("which", ["second", "first"])
+@pytest.mark.parametrize("a_shift", [3.0, 4.0])
+def test_eigen_pair_on_high_lines_raises_rather_than_understates(a_shift, which):
+    # On these lines the box T = 12 cuts tails that are not small, and a
+    # lattice sum cut off where the integrand is not negligible converges
+    # only to first order: the levels cannot agree to the target.  (The
+    # Gauss-Legendre panels returned values 9e-4 and 0.5 off, under
+    # estimates near 1e-8 and 1e-11.)  Sizing T from a_shift is ROADMAP
+    # item 4.
+    w = (mp.mpc(0.2, -0.5), mp.mpc(-0.1, -0.6))
+    with pytest.raises(QuadratureError, match="spectral quadrature did not converge"):
+        baxter_eigen_check(w, 1.0, (0.3, -0.3), which, a_shift=a_shift)
 
 
 def test_eigen_rejects_non_finite_input():
@@ -618,6 +628,49 @@ def test_second_display_takes_no_gamma_evaluation(w, x, cfg, monkeypatch):
     first = calls[0]
     baxter_eigen_check(w, 1.0, x, "second", cfg)
     assert first > 0 and calls[0] == first
+
+
+def _counting_points(monkeypatch, module) -> list:
+    """The (level, point count) of each nodes_1d call made through module."""
+    calls = []
+    original = module.nodes_1d
+
+    def counting(level, *args):
+        points = original(level, *args)
+        calls.append((level, len(points)))
+        return points
+
+    monkeypatch.setattr(module, "nodes_1d", counting)
+    return calls
+
+
+def test_spectral_sum_evaluates_each_gamma_once(monkeypatch):
+    # The gamma-limits workload's N = 1 input.  Each level tabulates only
+    # the points it adds, so Gamma runs once per point of the stop level's
+    # lattice (Gauss-Legendre panels, which do not nest, took
+    # 240 + 480 + 960 = 1680 calls here).
+    qwlab.baxter._spectral_axis.cache_clear()
+    gammas = _counting(monkeypatch, qwlab.baxter, "gamma_c")
+    levels = _counting_points(monkeypatch, qwlab.baxter)
+    cfg = QuadratureConfig(target_rel_error=1e-7)
+    rep = baxter_eigen_check((mp.mpc(0.3, -0.4),), 1.0, (0.2,), "second", cfg)
+    assert [level for level, _ in levels] == list(range(rep.diagnostics["levels"]))
+    assert gammas[0] == sum(count for _, count in levels)
+
+
+def test_relative_integral_evaluates_each_k_bessel_pair_once(monkeypatch):
+    # The profiles workload's N = 2 Stade input: two K-Bessel values per
+    # point of the stop level's lattice (Gauss-Legendre panels took 576
+    # calls here).
+    qwlab.whittaker._stade_relative_integral.cache_clear()
+    bessels = _counting(monkeypatch, mp, "besselk")
+    levels = _counting_points(monkeypatch, qwlab.quadrature)
+    lam, nu = (mp.mpc(1.5), mp.mpc(1.4)), (mp.mpc(1.45), mp.mpc(1.35))
+    qwlab.whittaker._stade_relative_integral(lam, nu, sum(lam) + sum(nu),
+                                             QuadratureConfig(target_rel_error=1e-2),
+                                             mp.mp.prec)
+    assert [level for level, _ in levels] == list(range(len(levels)))
+    assert bessels[0] == 2 * sum(count for _, count in levels)
 
 
 def test_second_stade_display_takes_no_k_bessel_evaluation(monkeypatch):

@@ -297,6 +297,25 @@ def test_stade_single_variable_both_identities():
         assert abs(rep.rhs - expect) < mp.mpf("1e-15")
 
 
+@pytest.mark.parametrize("target", [None, 1e-2])
+@pytest.mark.parametrize("u, lam, nu", [(1.0, 0.7, 0.6), (1.7, 0.35, 0.9)])
+def test_stade_single_variable_estimate_bounds_error(u, lam, nu, target):
+    # At N = 1 the left side is the cutoff integral of e^{+-r y}, r = lam + nu,
+    # whose value u^-r Gamma(r) the estimate must bound, up to 16 units of
+    # the working precision, and the estimate is never 0.
+    cfg = None if target is None else QuadratureConfig(target_rel_error=target)
+    prec = (cfg or QuadratureConfig(target_rel_error=1e-11)).working_prec()
+    with mp.workprec(256):
+        r = mp.mpf(lam) + mp.mpf(nu)
+        exact = mp.mpf(u) ** -r * mp.gamma(r)
+    for which in ("first", "second"):
+        rep = stade_check(u, (lam,), (nu,), which, cfg)
+        error = rep.diagnostics["quad_error"]
+        assert error > 0
+        with mp.workprec(256):
+            assert abs(rep.lhs - exact) <= error + 16 * mp.mpf(2) ** -prec * exact
+
+
 def test_stade_rejects_bad_domain():
     with pytest.raises(DomainError):
         stade_check(1.0, (0.2,), (-0.3,), "first")
@@ -312,7 +331,7 @@ def test_stade_rejects_bad_domain():
     (1.3, (0.9, 0.1 + 0.3j), (0.6 - 0.2j, 0.5)),
 ])
 def test_stade_pair_matches_gamma_product(u, lam, nu):
-    # Default configuration: composite Gauss-Legendre to 1e-11, 66 bits.
+    # Default configuration: the nested trapezoid rule to 1e-11, 66 bits.
     prec = QuadratureConfig(target_rel_error=1e-11).working_prec()
     with mp.workprec(256):
         rhs = mp.mpf(u) ** -(mp.fsum(lam) + mp.fsum(nu))
