@@ -58,7 +58,9 @@ displays differ only in the phase, so `_spectral_axis` tabulates the factor
 at the points each refinement level adds, memoised on
 (w, log u, a_shift, h0, T, level, working precision), and both displays of a
 pair read one table: each Gamma factor is evaluated once per lattice point,
-and the second display evaluates none.
+and the second display evaluates none.  The phases e^{i xi log u} of the
+table and, at N = 1, e^{-+i xi x} of each display advance along a level's
+evenly spaced points by one complex multiply each (`_exp_on_lattice`).
 """
 
 from __future__ import annotations
@@ -477,7 +479,9 @@ def gamma_identity_check(r, nu, tolerance: float | None = None) -> VerificationR
                    * Gamma(1 + r_i - r_j) Gamma(1 + r_j - r_i)
                    / (Gamma(1 + nu_j + r_i - r_j) Gamma(1 + nu_i + r_j - r_i)),
 
-    to a relative tolerance that defaults to 1e-10.
+    to a relative tolerance that defaults to 1e-10.  The reflection pair
+    Gamma(1 - d) Gamma(1 + d) = pi d / sin(pi d), d = r_j - r_i, is taken in
+    that closed form, so it does not rest on `gamma_c`.
     """
     if tolerance is None:
         tolerance = 1e-10
@@ -502,7 +506,7 @@ def gamma_identity_check(r, nu, tolerance: float | None = None) -> VerificationR
                 if d == 0:
                     raise DomainError("coincident r entries")
                 rhs *= (d - nu[j] + nu[i]) / d
-                rhs *= gamma_c(1 - d) * gamma_c(1 + d)
+                rhs *= mp.pi * d / mp.sinpi(d)  # Gamma(1 - d) Gamma(1 + d)
                 rhs /= gamma_c(1 + nu[j] - d) * gamma_c(1 + nu[i] + d)
     except GammaPoleError as exc:
         raise DomainError(f"pole configuration rejected: {exc}") from exc
@@ -621,9 +625,10 @@ def baxter_eigen_check(w, u, x, which: str = "second",
 
             def terms_at(level):
                 # The display-free factor from the shared table, times this
-                # display's Whittaker phase.
-                return [g * mp.exp(sign * 1j * (t + 1j * a_shift) * x[0])
-                        for t, g in _spectral_axis(w, log_u, a_shift, h0, T, level, work)]
+                # display's Whittaker phase e^{sign i xi x}.
+                table = _spectral_axis(w, log_u, a_shift, h0, T, level, work)
+                phases = _exp_on_lattice(sign * 1j * x[0], [t for t, _ in table], 1j * a_shift)
+                return [g * phase for (_, g), phase in zip(table, phases)]
 
             with mp.workprec(work):
                 quad = trapezoid_refine(terms_at, h0, cfg, f"1-d quadrature on [{-T}, {T}]")
@@ -660,19 +665,40 @@ def _spectral_axis(w, log_u, a_shift, h0, T, level: int, work: int) -> tuple:
 
     as (t, g(t)) pairs at the points t of nodes_1d(level, -T, T, h0), the
     points the level adds, evaluated at `work` bits, the precision of the
-    caller's sum.  The two displays differ only in the Whittaker phase
-    e^{-+i xi x} they multiply it by, so a pair reads one table.  Memoised on
-    every argument, `work` included; the 8 entries hold every refinement
-    level of one pair."""
+    caller's sum; e^{i xi log u} advances along them by `_exp_on_lattice`.
+    The two displays differ only in the Whittaker phase e^{-+i xi x} they
+    multiply it by, so a pair reads one table.  Memoised on every argument,
+    `work` included; the 8 entries hold every refinement level of one
+    pair."""
     with mp.workprec(work):
+        ts = nodes_1d(level, -T, T, h0)
         out = []
-        for t in nodes_1d(level, -T, T, h0):
+        for t, phase in zip(ts, _exp_on_lattice(1j * log_u, ts, 1j * a_shift)):
             xi = t + 1j * a_shift
             gammas = gamma_c(-1j * xi - 1j * w[0])
             for wj in w[1:]:
                 gammas = gammas * gamma_c(-1j * xi - 1j * wj)
-            out.append((t, mp.exp(1j * xi * log_u) * gammas))
+            out.append((t, phase * gammas))
         return tuple(out)
+
+
+def _exp_on_lattice(c, ts, shift) -> list:
+    """[e^{c (t + shift)} for t in ts], ts evenly spaced, as the points of
+    one `nodes_1d` level are: the first by mp.exp, each next by one multiply
+    by e^{c dt}, dt = ts[1] - ts[0], as `_rank8_pair_sum` advances its
+    phases.  Each multiply rounds by about a unit, so the products carry
+    bit_length(len(ts)) + 4 guard bits and the last is still within a unit
+    of the working precision."""
+    if not ts:
+        return []
+    with mp.workprec(mp.mp.prec + len(ts).bit_length() + 4):
+        value = mp.exp(c * (ts[0] + shift))
+        step = mp.exp(c * (ts[1] - ts[0])) if len(ts) > 1 else 1
+        out = [value]
+        for _ in ts[1:]:
+            value *= step
+            out.append(value)
+    return out
 
 
 def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: int):

@@ -16,6 +16,7 @@ runs on integers, and rejects every other scalar.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -169,16 +170,58 @@ def qpoch_infinite(a, q):
     """(a;q)_infty = prod_{k>=0} (1 - a q^k) for |q| < 1, at the working
     precision, as an mpmath value.
 
-    mpmath stops after 50 factors per bit of precision, which (a;q)_infty
-    outruns for |q| near 1 (q = e^-0.01 at 128 bits needs about 9000); the
-    product converges for every |q| < 1, so that cap is lifted.  Without the
-    cap a non-finite a or q would never stop, so both are rejected.
+    Two routes, whichever takes fewer terms.  The factors come within
+    2^-prec of 1 after about prec log 2 / log(1/|q|) of them, while the
+    series
+
+        log (a;q)_infty = -sum_{m>=1} a^m / (m (1 - q^m))
+
+    (each log(1 - a q^k) expanded, the geometric sums over k done) needs
+    about prec log 2 / log(1/|a|) terms: fewer exactly when 0 < |a| < |q|.
+    There `_qpoch_log_series` sums it; everywhere else mp.qp multiplies the
+    factors.  mpmath stops after 50 factors per bit of precision, which
+    (a;q)_infty outruns for |q| near 1 (q = e^-0.01 at 128 bits needs about
+    9000); the product converges for every |q| < 1, so that cap is lifted.
+    Without the cap a non-finite a or q would never stop, so both are
+    rejected.
     """
     if not (mp.isfinite(a) and mp.isfinite(q)):
         raise DomainError("infinite q-Pochhammer needs finite a and q")
     if _float_abs(q) >= 1.0:
         raise DomainError("infinite q-Pochhammer needs |q| < 1")
+    a, q = mp.mpmathify(a), mp.mpmathify(q)
+    if 0 < abs(a) < abs(q):
+        return _qpoch_log_series(a, q)
     return mp.qp(a, q, maxterms=mp.inf)
+
+
+def _qpoch_log_series(a, q):
+    """exp(-sum_{m=1}^{M} a^m / (m (1 - q^m))) for 0 < |a| < |q| < 1, rounded
+    to the working precision prec.
+
+    Since |1 - q^m| >= 1 - |q|, the terms from m on sum to at most
+    |a|^m / ((1 - |q|)(1 - |a|)), so M puts the dropped tail below
+    2^-(prec+8).  The sum runs at g guard bits.  a^m and q^m by repeated
+    multiplication are off by m units each, and 1 - q^m, at least 1 - |q|
+    in modulus, turns q^m's error into m + 1 units of 1 / (1 - |q|), so a
+    term is off by at most (2m + 4) / (1 - |q|) units of its modulus.  The
+    moduli sum to at most mass = log(1/(1 - |a|)) / (1 - |q|), and adding M
+    terms rounds by M units of that, so the sum is off by at most
+    (3M + 4) mass / (1 - |q|) units of 2^-(prec+g); g puts that below
+    2^-(prec+4), the absolute accuracy the exponential needs."""
+    prec = mp.mp.prec
+    ra, rq = float(abs(a)), float(abs(q))
+    mass = -math.log1p(-ra) / (1 - rq)
+    terms = math.ceil((prec + 8 - math.log2((1 - rq) * (1 - ra))) / -float(mp.log(abs(a), 2)))
+    guard = max(8, math.ceil(math.log2(max(1, (3 * terms + 4) * mass / (1 - rq)))) + 4)
+    with mp.workprec(prec + guard):
+        total = 0
+        am, qm = a, q
+        for m in range(1, terms + 1):
+            total += am / (m * (1 - qm))
+            am, qm = am * a, qm * q
+        value = mp.exp(-total)
+    return +value
 
 
 def qbinomial_ratio_series(a, b, q, order: int) -> ZetaSeries:

@@ -17,6 +17,14 @@ checks and the contour sum on its hyperbola all read `nodes_1d`.  Two
 grids keep their own form: the GL(2) profile (`whittaker.profile_grid`),
 folded onto m >= 0, and the N = 3 pattern lattice
 (`whittaker._pattern_sum_3`).
+
+Two of these sums run on a map of the real line rather than on the
+integration variable itself.  Stade's cutoff integral in y, whose left tail
+decays only like e^{Re(r) y}, is summed in tau with the double-exponential
+map y = tau - e^{-tau} (Takahasi & Mori 1974; Trefethen & Weideman 2014),
+which makes that tail double-exponential too (`whittaker.stade_check`);
+the contour sum runs in the parameter of its hyperbola
+(`baxter._hyperbola`).  The other sums are taken in their own variable.
 """
 
 from __future__ import annotations

@@ -572,12 +572,20 @@ def qwhittaker_branch_eval(sig, z, q):
         qq.append(acc)
         qk = qk * q
 
+    # Every exponent of z_n in the sum lies in [0, lam_1]: pows[k][e] = z_k^e,
+    # each entry one multiply from the last (exact on Fractions).
+    pows = []
+    for zk in z:
+        row = [one]
+        for _ in range(lam[0]):
+            row.append(row[-1] * zk)
+        pows.append(row)
     memo = {}
 
     def rec(mu: tuple, n: int):
         # P_mu(z_1..z_n; q, 0) for a weakly decreasing nonneg tuple mu.
         if n == 1:
-            return z[0] ** mu[0] if mu[0] else one
+            return pows[0][mu[0]]
         key = (n, mu)
         if key in memo:
             return memo[key]
@@ -590,7 +598,7 @@ def qwhittaker_branch_eval(sig, z, q):
             term = w * rec(tuple(nu), n - 1)
             e = sum(mu) - sum(nu)
             if e:
-                term = term * z[n - 1] ** e
+                term = term * pows[n - 1][e]
             total = term if total is None else total + term
         memo[key] = total
         return total

@@ -242,16 +242,20 @@ def pair_coupling(delta) -> mp.mpc:
 # ---------------------------------------------------------------------------
 
 
-def _cutoff_box(rate, u, target):
-    """[lo, hi] for integrals of e^{-u e^y} e^{rate y}: double-exponential on
-    the right, rate-exponential on the left, each tail cut at e^{-2 need},
+def _cutoff_window(rate, u, target):
+    """[lo, hi] in tau for the cutoff integral of e^{-u e^y + r y},
+    Re r = rate > 0, on the map y = tau - e^{-tau}.
+
+    On the right y ~ tau, and e^{-u e^y} cuts the tail double-exponentially;
+    on the left y ~ -e^{-tau}, so e^{r y} decays double-exponentially too,
+    and at lo, where e^{-tau} = 2e need / rate, it is below e^{-2e need},
     need = lattice_need(target)."""
     rate = mp.re(mp.mpc(rate))
     if rate <= 0:
         raise DomainError("cutoff integral needs a positive decay rate")
-    cut = 2 * lattice_need(target)
-    hi = mp.log((cut + rate * 10) / u + 3) + 2
-    lo = -(cut / rate) - 2
+    need = lattice_need(target)
+    hi = mp.log((2 * need + rate * 10) / u + 3) + 2
+    lo = -mp.log(2 * need / rate) - 1
     return float(lo), float(hi)
 
 
@@ -265,21 +269,28 @@ def stade_check(u, lam, nu, which: str = "first",
     second: integral dx e^{-u e^{-x_N}} psi_{ i lam}(x) psi_{ i nu}(x)
     both equal u^{-sum(lam + nu)} prod_{i,j} Gamma(lam_i + nu_j).
 
-    At N = 1 the left side is the cutoff integral of e^{+-(lam_1 + nu_1) y}.
-    At N = 2 the center-of-mass change of variables turns it into the same
-    cutoff integral at rate sum(lam + nu), times a relative-coordinate
-    integral over s = x_1 - x_2 of the two GL(2) profiles, whose closed form
-    is the K-Bessel function (see `_stade_relative_integral`).  Both
-    integrals are numeric, each by `integrate_1d`'s nested trapezoid rule
-    on a window whose tails are cut at e^{-2 need}, where the refinement
-    difference cannot see them; the right side is the Gamma product.  cfg
-    defaults to a 1e-11 target for both N, and the relative tolerance to
-    1e-8 at N = 1 and 1e-4 at N = 2.
+    At N = 1 the left side is the cutoff integral of e^{-u e^{+-y} +- r y},
+    r = lam_1 + nu_1.  At N = 2 the center-of-mass change of variables turns
+    it into the same cutoff integral at rate r = sum(lam + nu), times a
+    relative-coordinate integral over s = x_1 - x_2 of the two GL(2)
+    profiles, whose closed form is the K-Bessel function (see
+    `_stade_relative_integral`).  Both integrals are numeric, each by
+    `integrate_1d`'s nested trapezoid rule on a window whose tails are cut
+    at e^{-2 need}, where the refinement difference cannot see them; the
+    right side is the Gamma product.  cfg defaults to a 1e-11 target for
+    both N, and the relative tolerance to 1e-8 at N = 1 and 1e-4 at N = 2.
 
-    The relative-coordinate integral is the same for both displays and is
-    memoised on (lam, nu, rate, cfg, ambient precision), so the second
-    display of a pair takes no K-Bessel evaluation; the cutoff integral in
-    y differs between them and is computed per display.
+    The cutoff integral is summed in tau on the double-exponential map
+    y = tau - e^{-tau} for `first` and y = e^{-tau} - tau for `second`, so
+    both displays sum the same terms
+    e^{-u e^{y} + r y} (1 + e^{-tau}), y = tau - e^{-tau}, on the window of
+    `_cutoff_window`.  In y the left tail decays only like e^{Re(r) y}, and
+    a window in y takes 998 lattice points at criterion 5's N = 1 pair,
+    where the map takes 175.  For complex r the terms decay in a narrower strip
+    than pi/2, and the refinement takes more levels.  The relative-coordinate
+    integral is also the same for both displays and is memoised on
+    (lam, nu, rate, cfg, ambient precision), so the second display of a pair
+    takes no K-Bessel evaluation.
     """
     if which not in ("first", "second"):
         raise DomainError("which must be 'first' or 'second'")
@@ -302,19 +313,21 @@ def stade_check(u, lam, nu, which: str = "first",
     if tolerance is None:
         tolerance = 1e-8 if n == 1 else 1e-4
 
-    # One cutoff integral in y: x_1 at N = 1, the center of mass at N = 2.
+    # One cutoff integral in y: x_1 at N = 1, the center of mass at N = 2,
+    # summed in tau, the same terms for both displays.
     total_rate = mp.fsum([mp.re(v) for v in lam + nu])
-    box = _cutoff_box(total_rate, u, cfg.target_rel_error)
+    lo, hi = _cutoff_window(total_rate, u, cfg.target_rel_error)
     with mp.workprec(cfg.integrand_prec()):
         rate = sum(lam) + sum(nu)
-    # e^{-u e^y} keeps its double-exponential decay for |Im y| < pi/2;
-    # the lattice takes half that strip.
-    if which == "first":
-        f = lambda y: mp.exp(-u * mp.exp(y) + rate * y)
-        com = integrate_1d(f, box[0], box[1], cfg, math.pi / 4)
-    else:
-        f = lambda y: mp.exp(-u * mp.exp(-y) - rate * y)
-        com = integrate_1d(f, -box[1], -box[0], cfg, math.pi / 4)
+
+    def f(tau):
+        e = mp.exp(-tau)
+        y = tau - e
+        return mp.exp(-u * mp.exp(y) + rate * y) * (1 + e)
+
+    # The terms keep their double-exponential decay for |Im tau| < pi/2
+    # when r is real; the lattice takes half that strip.
+    com = integrate_1d(f, lo, hi, cfg, math.pi / 4)
 
     if n == 1:
         lhs = com.value

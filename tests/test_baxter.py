@@ -216,11 +216,11 @@ EIGEN_N1_BITS = {
     ("second", None): (((0, 17593037521172931477, -65, 64), (0, 2113701553359618821, -66, 61)),
                        (0, 11580648400850607431555026463, -127, 94)),
     ("first", None): (((0, 10022486547518811275, -65, 64), (1, 9633149640485285081, -69, 64)),
-                      (0, 19736755213942068259543723577, -128, 94)),
+                      (0, 9868377606971034142486524429, -127, 93)),
     ("second", 1.4): (((0, 8796518760586465739, -64, 63), (0, 2113701553359618821, -66, 61)),
                       (0, 5790324199866493533240720087, -126, 93)),
     ("first", 1.4): (((0, 10022486547518811275, -65, 64), (1, 1204143705060660635, -66, 61)),
-                     (0, 19736755213369906858740866979, -128, 94)),
+                     (0, 19736755213369906860782386501, -128, 94)),
 }
 
 
@@ -243,6 +243,20 @@ def test_eigen_single_variable_estimate_bounds_error(which, a_shift, x):
     with mp.workprec(128):
         closed = mp.exp(-mp.exp(sign * mp.mpf(x))) * mp.exp(-sign * 1j * w[0] * mp.mpf(x))
         assert abs(rep.rhs - closed) <= rep.diagnostics["quad_error"]
+
+
+@pytest.mark.parametrize("x", [0.2, -0.7])
+@pytest.mark.parametrize("which, a_shift", list(EIGEN_N1_BITS))
+def test_eigen_single_variable_phases_hold_at_two_precisions(which, a_shift, x):
+    # The phases advance by one multiply per lattice point; 64 bits more
+    # must move the sum by less than its estimate.
+    w = (mp.mpc(0.3, -0.4),)
+    cfg = QuadratureConfig(target_rel_error=1e-9)
+    higher = QuadratureConfig(target_rel_error=1e-9, prec_bits=cfg.working_prec() + 64)
+    rep = baxter_eigen_check(w, 1.0, (x,), which, cfg, a_shift=a_shift)
+    ref = baxter_eigen_check(w, 1.0, (x,), which, higher, a_shift=a_shift)
+    with mp.workprec(256):
+        assert abs(rep.rhs - ref.rhs) <= rep.diagnostics["quad_error"]
 
 
 def test_eigen_requires_lower_half_plane():

@@ -145,6 +145,24 @@ def test_qpoch_infinite_near_unit_circle():
         assert abs(qpoch_infinite(a, q) / head - 1) < mp.mpf(2) ** -120
 
 
+@pytest.mark.parametrize("prec", [64, 128, 256])
+@pytest.mark.parametrize("eps", [0.4, 0.05, 0.01])
+def test_qpoch_infinite_both_routes_match_the_product(prec, eps):
+    # |a| < |q| takes the log series, |a| > |q| the product; just either
+    # side of |a| = |q| the two need about as many terms.  Both must be
+    # within 4 units of 2^-prec of mp.qp's product 40 bits higher.
+    with set_precision(prec):
+        q = mp.exp(-mp.mpf(eps))
+        moduli = [mp.mpf("1e-3"), mp.mpf("0.05"), mp.mpf("0.4"),
+                  q * (1 - mp.mpf("1e-3")), q * (1 + mp.mpf("1e-3"))]
+        args = [r * phase for r in moduli for phase in (-1, mp.expj(0.7))]
+        values = [qpoch_infinite(a, q) for a in args]
+    with set_precision(prec + 40):
+        for a, value in zip(args, values):
+            exact = mp.qp(a, q, maxterms=mp.inf)
+            assert abs(value - exact) <= 4 * mp.mpf(2) ** -prec * abs(exact), a
+
+
 def test_qbinomial_trivial_ratio():
     s = qbinomial_ratio_series(F(1, 3), F(1, 3), F(1, 2), 4)
     assert s.coeffs == (1, 0, 0, 0, 0)

@@ -190,6 +190,51 @@ def test_branching_matches_gram_schmidt_at_t_zero():
                 assert qwhittaker_branch_eval(sig, z, q) == eval_symmetric(poly, z)
 
 
+def _branching_sum_by_patterns(lam, z, q):
+    """P_lam(z; q, 0) as the sum over Gelfand-Tsetlin patterns with top row
+    lam, each row k weighted by prod_i (q;q)_{mu_i - mu_{i+1}} /
+    ((q;q)_{mu_i - nu_i} (q;q)_{nu_i - mu_{i+1}}) and z_k ** (|row k| -
+    |row k-1|), every power by `**`."""
+    def qq(m):
+        out = F(1)
+        for k in range(1, m + 1):
+            out *= 1 - q**k
+        return out
+
+    def below(mu):
+        return itertools.product(*(range(mu[i + 1], mu[i] + 1) for i in range(len(mu) - 1)))
+
+    def rows(mu):
+        if len(mu) == 1:
+            yield (mu,)
+            return
+        for nu in below(mu):
+            for rest in rows(nu):
+                yield (mu,) + rest
+
+    total = F(0)
+    for pattern in rows(tuple(lam)):
+        term = F(1)
+        for mu, nu in zip(pattern, pattern[1:]):
+            for i in range(len(nu)):
+                term *= qq(mu[i] - mu[i + 1]) / (qq(mu[i] - nu[i]) * qq(nu[i] - mu[i + 1]))
+        sizes = [sum(row) for row in pattern] + [0]
+        for k, row in enumerate(pattern):
+            term *= z[len(row) - 1] ** (sizes[k] - sizes[k + 1])
+        total += term
+    return total
+
+
+def test_branching_power_table_matches_powers():
+    # The branching sum reads z_n^e from a table of repeated products; on
+    # Fractions that must equal the pattern sum with every power by `**`.
+    rng = random.Random(37)
+    for lam in [(3,), (4, 1), (3, 3), (5, 2, 0), (4, 2, 1), (2, 2, 2), (3, 1, 0, 0)]:
+        q = unit_interval_rational(rng)
+        z = distinct_rationals(rng, len(lam))
+        assert qwhittaker_branch_eval(lam, z, q) == _branching_sum_by_patterns(lam, z, q)
+
+
 def test_branching_shift_rule():
     rng = random.Random(31)
     q = unit_interval_rational(rng)

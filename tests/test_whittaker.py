@@ -5,6 +5,7 @@ import mpmath as mp
 import pytest
 from oracles import GiventalPattern, gauss_legendre_pattern_3, givental_action, integrate_nd
 
+from qwlab import quadrature
 from qwlab.gamma import gamma_c
 from qwlab.qcore import DomainError
 from qwlab.quadrature import QuadratureConfig
@@ -298,7 +299,13 @@ def test_stade_single_variable_both_identities():
 
 
 @pytest.mark.parametrize("target", [None, 1e-2])
-@pytest.mark.parametrize("u, lam, nu", [(1.0, 0.7, 0.6), (1.7, 0.35, 0.9)])
+@pytest.mark.parametrize("u, lam, nu", [
+    (1.0, 0.7, 0.6), (1.7, 0.35, 0.9),
+    # Complex rates narrow the strip in which the mapped terms decay, and a
+    # small rate stretches the left tail.
+    *((u, lam, nu) for u in (0.3, 1.0, 5.0)
+      for lam, nu in ((0.3 + 5j, 0.3 - 1j), (0.5 + 8j, 0.4), (0.15, 0.15))),
+])
 def test_stade_single_variable_estimate_bounds_error(u, lam, nu, target):
     # At N = 1 the left side is the cutoff integral of e^{+-r y}, r = lam + nu,
     # whose value u^-r Gamma(r) the estimate must bound, up to 16 units of
@@ -306,14 +313,42 @@ def test_stade_single_variable_estimate_bounds_error(u, lam, nu, target):
     cfg = None if target is None else QuadratureConfig(target_rel_error=target)
     prec = (cfg or QuadratureConfig(target_rel_error=1e-11)).working_prec()
     with mp.workprec(256):
-        r = mp.mpf(lam) + mp.mpf(nu)
+        r = mp.mpc(lam) + mp.mpc(nu)
         exact = mp.mpf(u) ** -r * mp.gamma(r)
     for which in ("first", "second"):
         rep = stade_check(u, (lam,), (nu,), which, cfg)
         error = rep.diagnostics["quad_error"]
         assert error > 0
         with mp.workprec(256):
-            assert abs(rep.lhs - exact) <= error + 16 * mp.mpf(2) ** -prec * exact
+            assert abs(rep.lhs - exact) <= error + 16 * mp.mpf(2) ** -prec * abs(exact)
+
+
+def test_stade_single_variable_displays_sum_the_same_terms():
+    # y = tau - e^{-tau} and y = e^{-tau} - tau turn both displays into one
+    # sum in tau, so their left sides agree in every bit.
+    for u, lam, nu in [(1.0, 0.7, 0.6), (0.3, 0.3 + 5j, 0.3 - 1j)]:
+        first, second = (stade_check(u, (lam,), (nu,), which) for which in ("first", "second"))
+        assert first.lhs == second.lhs
+        assert first.diagnostics["quad_error"] == second.diagnostics["quad_error"]
+
+
+def test_stade_single_variable_lattice_is_short(monkeypatch):
+    # Criterion 5's N = 1 pair: the double-exponential map cuts both tails
+    # double-exponentially, so a display takes at most 250 lattice points
+    # (a window in y takes 998).
+    points = []
+    nodes_1d = quadrature.nodes_1d
+
+    def counted(*args):
+        out = nodes_1d(*args)
+        points.extend(out)
+        return out
+
+    monkeypatch.setattr(quadrature, "nodes_1d", counted)
+    for which in ("first", "second"):
+        points.clear()
+        assert stade_check(1.0, (0.7,), (0.6,), which).passed
+        assert 0 < len(points) <= 250
 
 
 def test_stade_rejects_bad_domain():
