@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,7 +75,17 @@ from mpmath.libmp import mpf_cos_sin, mpf_mul, to_fixed
 
 from .gamma import GammaPoleError, gamma_c
 from .qcore import DomainError, QwlabError, compositions_of_weight
-from .quadrature import TERM_ULPS, QuadratureConfig, QuadResult, nodes_1d, refine, trapezoid_refine
+from .quadrature import (
+    TERM_ULPS,
+    QuadratureConfig,
+    QuadResult,
+    _fixed_dot,
+    _fixed_point,
+    _fixed_rotate,
+    nodes_1d,
+    refine,
+    trapezoid_refine,
+)
 from .report import VerificationReport, comparison_report
 from .whittaker import profile_grid, whittaker_eval
 
@@ -145,9 +154,12 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
     fall below 2^-prec |total| at the working precision prec; cap is only
     the upper bound, and the Gamma-pole check still covers every shell up
     to cap.  The error field carries the magnitude of the last two shells
-    summed plus the sum's own rounding, bounded by (k + 1) 2^-prec times the
-    largest partial sum, and the diagnostics hold cap, stop_shell (k) and
-    last_shells.
+    summed plus the sum's own rounding: (k + 1) 2^-prec times the largest
+    partial sum for the shells' additions, and TERM_ULPS 2^-prec times the
+    terms' modulus mass sum_k |u|^k sum_nu |term| for the terms themselves.
+    At N >= 2 the shells cancel (for f = 1 every shell k >= 1 sums to 0)
+    while their terms do not, so the mass can far exceed the partial sums.
+    The diagnostics hold cap, stop_shell (k) and last_shells.
     """
     w = tuple(mp.mpc(v) for v in w)
     u = mp.mpc(u)
@@ -185,9 +197,10 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
     shell_mags = []
     upow = mp.mpc(1)
     unit = mp.mpf(2) ** -mp.mp.prec
-    largest = mp.mpf(0)
+    largest = mass = mp.mpf(0)
     for k in range(cap + 1):
         shell = mp.mpc(0)
+        shell_mass = mp.mpf(0)
         for nu in compositions_of_weight(k, n):
             cross = mp.mpc(1)
             for i in range(n):
@@ -198,16 +211,20 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
                 if nu[i]:
                     for j in range(n):
                         ratio = ratio * ratio_tab[i][j][nu[i]]
-            shell = shell + cross * ratio * f(tuple(w[i] + 1j * nu[i] for i in range(n)))
+            term = cross * ratio * f(tuple(w[i] + 1j * nu[i] for i in range(n)))
+            shell = shell + term
+            shell_mass = shell_mass + abs(term)
         total = total + upow * shell
         largest = max(largest, abs(total))
+        mass = mass + abs(upow) * shell_mass
         shell_mags.append(abs(upow * shell))
         if k and max(shell_mags[-2:]) < unit * abs(total):
             break
         upow = upow * u
     tail = shell_mags[-1] + (shell_mags[-2] if len(shell_mags) > 1 else mp.mpf(0))
-    return QuadResult(total, tail + (k + 1) * unit * largest, {"cap": cap, "stop_shell": k,
-                                    "last_shells": shell_mags[-2:]})
+    rounding = (k + 1) * unit * largest + TERM_ULPS * unit * mass
+    return QuadResult(total, tail + rounding, {"cap": cap, "stop_shell": k,
+                                               "last_shells": shell_mags[-2:]})
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +637,11 @@ def baxter_eigen_check(w, u, x, which: str = "second",
 
         if n == 1:
             h0, need = _spectral_lattice(w, a_shift, cfg)
+            # The floor is not waste: the cut tails must stay below the
+            # level-1 lattice error, about e^{-2 need} (1e-18 at target
+            # 1e-7), not below the target.  At w = 0.3 - 0.4i, u = 1,
+            # x = 0.2 and target 1e-7 the `first` display reads 9.7, 13.8,
+            # 16.7 and 17.5 digits at floors 14, 20, 24 and 27, and 17.5 at 30.
             T = max(30.0, 2 * need / math.pi + abs(float(mp.re(w[0]))) + abs(float(x[0])))
             work = cfg.integrand_prec()
 
@@ -769,33 +791,11 @@ def _rank8_pair_sum(axis, h, omegas, prec: int, height):
         acc = mp.mpc(0)
         for m, omega in enumerate(omegas):
             if m:
-                cos, sin = (
-                    [(c * sc - s * ss) >> scale
-                     for c, s, sc, ss in zip(cos, sin, step_cos, step_sin)],
-                    [(c * ss + s * sc) >> scale
-                     for c, s, sc, ss in zip(cos, sin, step_cos, step_sin)])
+                cos, sin = _fixed_rotate(cos, sin, step_cos, step_sin, scale)
             (ut_c, ut_s), (d_c, d_s), (u_c, u_s), (dt_c, dt_s) = (
-                (_fixed_dot(w, cos, scale), _fixed_dot(w, sin, scale)) for w in weights)
+                (_fixed_dot(w, cos, cos, scale), _fixed_dot(w, sin, sin, scale))
+                for w in weights)
             # (F(pi + i tau) + F(pi - i tau)) / 2: the cross terms of the
             # conjugate pairs cancel.
             acc += omega * (ut_c * d_c + ut_s * d_s - u_c * dt_c - u_s * dt_s)
         return acc / mp.pi
-
-
-def _fixed_point(values, bits: int):
-    """Complex values as integer lists (re, im) times 2^-shift, the shift
-    chosen so that the largest real or imaginary part is below 2^bits."""
-    parts = [v._mpc_ for v in values]
-    top = max((exp + bc for part in parts for _, man, exp, bc in part if man), default=0)
-    shift = bits - top
-    return ([to_fixed(re, shift) for re, _ in parts],
-            [to_fixed(im, shift) for _, im in parts], shift)
-
-
-def _fixed_dot(weights, phases, scale: int):
-    """sum_j w_j phase_j as an mpc, from `_fixed_point` weights and phases
-    at 2^-scale."""
-    re, im, shift = weights
-    unit = -(shift + scale)
-    return mp.mpc(mp.mpf((sum(map(operator.mul, re, phases)), unit)),
-                  mp.mpf((sum(map(operator.mul, im, phases)), unit)))

@@ -13,10 +13,13 @@ line and decay along it, and there the rule converges geometrically
 gives the points a level adds, so a level's sum is half the last level's
 plus its own, and each point is evaluated once (`trapezoid_refine`,
 `integrate_1d`).  The Stade integrals, the spectral sums of the dual Baxter
-checks and the contour sum on its hyperbola all read `nodes_1d`.  Two
-grids keep their own form: the GL(2) profile (`whittaker.profile_grid`),
-folded onto m >= 0, and the N = 3 pattern lattice
-(`whittaker._pattern_sum_3`).
+checks and the contour sum on its hyperbola all read `nodes_1d`.  The GL(2)
+profile (`whittaker.pair_profile`) nests the same way on its own lattice,
+folded onto t >= 0: it sums each level's new points on integers and hands
+`trapezoid_sums` the level's sum and modulus mass.  Two grids keep their
+own form: the spectral sum's chi grid (`whittaker.profile_grid`), one level
+of that lattice, and the N = 3 pattern lattice (`whittaker._pattern_sum_3`),
+summed afresh at each halving of its step.
 
 Two of these sums run on a map of the real line rather than on the
 integration variable itself.  Stade's cutoff integral in y, whose left tail
@@ -30,9 +33,11 @@ the contour sum runs in the parameter of its hyperbola
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import mpmath as mp
+from mpmath.libmp import from_int, mpc_exp, mpf_mul, to_fixed
 
 from .qcore import MIN_PREC_BITS, DomainError, QwlabError
 
@@ -49,7 +54,7 @@ class QuadratureConfig:
     # no rule in src (the panel rule it named is the tests' oracle now), and
     # each truncated window is sized by its caller.  Both fields stay while
     # the benchmark workloads still pass them, and go with the benchmark
-    # mends (ROADMAP item 5).
+    # mends (ROADMAP item 1).
     scheme: str = GAUSS_LEGENDRE
     box_halfwidth: float = 12.0
     target_rel_error: float = 1e-10
@@ -133,14 +138,26 @@ def trapezoid_refine(terms_at, h0, cfg: QuadratureConfig, label: str) -> QuadRes
     TERM_ULPS units of 2^-prec of h_k sum |terms| through level k, prec
     being the precision the caller sets around the call.  Two levels can
     agree in every bit, and the estimate still is not 0."""
+
+    def sums_at(level):
+        terms = terms_at(level)
+        return mp.fsum(terms), mp.fsum(abs(v) for v in terms)
+
+    return trapezoid_sums(sums_at, h0, cfg, label)
+
+
+def trapezoid_sums(sums_at, h0, cfg: QuadratureConfig, label: str) -> QuadResult:
+    """`trapezoid_refine` for a caller that sums a level's new terms itself:
+    sums_at(level) gives (sum of the terms, a bound on the sum of their
+    moduli) over the points the level adds, each point taken once."""
     total = mass = mp.mpf(0)
 
     def value_at(level):
         nonlocal total, mass
         h = mp.mpf(h0) / 2**level
-        terms = terms_at(level)
-        total = total / 2 + h * mp.fsum(terms)
-        mass = mass / 2 + h * mp.fsum(abs(v) for v in terms)
+        part, part_mass = sums_at(level)
+        total = total / 2 + h * part
+        mass = mass / 2 + h * part_mass
         return total
 
     res = refine(value_at, range(cfg.max_depth), cfg, label)
@@ -167,3 +184,69 @@ def integrate_1d(f, lo, hi, cfg: QuadratureConfig, strip) -> QuadResult:
     with mp.workprec(cfg.integrand_prec()):
         return trapezoid_refine(lambda level: [f(t) for t in nodes_1d(level, lo, hi, h0)],
                                 h0, cfg, label)
+
+
+# ---------------------------------------------------------------------------
+# Lattice phases and fixed-point sums
+# ---------------------------------------------------------------------------
+#
+# Two sums run on integers: the GL(2) profile (`whittaker.pair_profile`) and
+# the rank-8 pair sum of the N = 2 spectral integral
+# (`baxter._rank8_pair_sum`).  Their weights are integers at 2^-shift (the
+# rank-8 sum scales its mpc weights once by `_fixed_point`), their phases
+# are integers at 2^-scale advanced by `_fixed_rotate`, and each sum is an
+# exact integer dot product (`_fixed_dot`), rounded once.
+
+
+def _fixed_point(values, bits: int):
+    """Complex values as integer lists (re, im) times 2^-shift, the shift
+    chosen so that the largest real or imaginary part is below 2^bits."""
+    parts = [v._mpc_ for v in values]
+    top = max((exp + bc for part in parts for _, man, exp, bc in part if man), default=0)
+    shift = bits - top
+    return ([to_fixed(re, shift) for re, _ in parts],
+            [to_fixed(im, shift) for _, im in parts], shift)
+
+
+def _fixed_dot(weights, re_phases, im_phases, scale: int):
+    """sum_j re_j re_phase_j + i sum_j im_j im_phase_j as an mpc, from
+    `_fixed_point` weights (re, im) and integer phases at 2^-scale."""
+    re, im, shift = weights
+    unit = -(shift + scale)
+    return mp.mpc(mp.mpf((sum(map(operator.mul, re, re_phases)), unit)),
+                  mp.mpf((sum(map(operator.mul, im, im_phases)), unit)))
+
+
+def _fixed_rotate(cos, sin, step_cos, step_sin, scale: int):
+    """Each phase cos_j + i sin_j times its step step_cos_j + i step_sin_j,
+    all integers at 2^-scale: one complex multiply per phase, floored to
+    2^-scale, so a part gains under 1 unit beyond its factors' errors."""
+    return ([(c * sc - s * ss) >> scale for c, s, sc, ss in zip(cos, sin, step_cos, step_sin)],
+            [(c * ss + s * sc) >> scale for c, s, sc, ss in zip(cos, sin, step_cos, step_sin)])
+
+
+def _fixed_ladder(c, first: int, stride: int, count: int, scale: int):
+    """e^{(first + stride i) c} for i < count, c an mpc or mpf, as integer
+    lists (re, im) at 2^-scale: (cos, sin) of a real angle when c is
+    imaginary.  The first entry and the step e^{stride c} come from mpc_exp,
+    each off by at most 2 units per part.  The table doubles: the n entries
+    it holds are multiplied by the step (`_fixed_rotate`), and the step is
+    squared.  A multiply adds its factors' errors and its floor, so for
+    |e^{stride c}| <= 1 the entry i is off by at most 5 i + 3 units, and a
+    growing ladder's entries by as many units relative to their size."""
+    re, im = mp.mpc(c)._mpc_
+
+    def fresh(k):
+        k = from_int(k)
+        value = mpc_exp((mpf_mul(re, k), mpf_mul(im, k)), scale, "n")
+        return [to_fixed(value[0], scale)], [to_fixed(value[1], scale)]
+
+    out_re, out_im = fresh(first)
+    step_re, step_im = fresh(stride)
+    while len(out_re) < count:
+        n = len(out_re)
+        more_re, more_im = _fixed_rotate(out_re, out_im, step_re * n, step_im * n, scale)
+        out_re += more_re
+        out_im += more_im
+        step_re, step_im = _fixed_rotate(step_re, step_im, step_re, step_im, scale)
+    return out_re[:count], out_im[:count]

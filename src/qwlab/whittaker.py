@@ -14,13 +14,17 @@ geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014), on windows sized
 from the target through that decay.
 
 For N = 2 the interior integral separates into a center-of-mass phase times
-a one-dimensional profile in s = x_1 - x_2, `pair_profile`, a trapezoid sum
-on the `profile_grid` that also carries the N = 2 spectral sum's chi grid.
-The separation is cross-checked against the direct pattern integral in the
-tests.  The profile's closed form is 2 K_{i(mu1-mu2)}(2 e^{-s/2}), the GL(2)
-Whittaker function (Bump, Automorphic Forms and Representations, 1997): the
-tests anchor `pair_profile` against it, and the N = 2 Stade check takes
-its profiles from it.
+a one-dimensional profile in s = x_1 - x_2, `pair_profile`.  It is the
+trapezoid sum on the lattice of `_profile_lattice`, which also sizes
+`profile_grid`, the N = 2 spectral sum's chi grid.  The profile's levels
+nest: each adds only the odd lattice points, and it sums them in integer
+fixed point, with its weights and phases advanced along ladders, so each
+point takes one exponential.  The separation is cross-checked against the
+direct pattern integral in the tests.  The profile's closed form is
+2 K_{i(mu1-mu2)}(2 e^{-s/2}), the GL(2) Whittaker function (Bump,
+Automorphic Forms and Representations, 1997): the tests anchor
+`pair_profile` against it, and the N = 2 Stade check takes its profiles
+from it.
 
 For N = 3 the row-1 entry integrates to that profile of row 2, and the
 remaining double integral over row 2 is one step of Givental's recursion.
@@ -34,10 +38,20 @@ import math
 from functools import lru_cache
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, mpf_exp, to_fixed
 
 from .gamma import gamma_c
 from .qcore import DomainError
-from .quadrature import QuadratureConfig, QuadResult, integrate_1d, lattice_need, refine
+from .quadrature import (
+    QuadratureConfig,
+    QuadResult,
+    _fixed_dot,
+    _fixed_ladder,
+    integrate_1d,
+    lattice_need,
+    refine,
+    trapezoid_sums,
+)
 from .report import VerificationReport, comparison_report
 
 MAX_WHITTAKER_N = 3
@@ -164,41 +178,113 @@ def pair_profile(mu1, mu2, s, cfg: QuadratureConfig | None = None) -> QuadResult
         integral dt exp(i (mu1 - mu2) t - 2 e^{-s/2} cosh t) = 2 K_{i(mu1-mu2)}(2 e^{-s/2}),
 
     so that psi_(mu1,mu2)(x1, x2) = e^{i (mu1+mu2)(x1+x2)/2} * profile(x1-x2).
-    It is the trapezoid sum on `profile_grid`, refined by halving h; the
-    error field is the last difference |T_h - T_{h/2}|.
+
+    It is `profile_grid`'s trapezoid sum, folded onto t = j h >= 0 and
+    nested as `trapezoid_sums` nests it: level 0 takes j = 0..steps on
+    `_profile_lattice`'s step h0, and each level k >= 1 adds only the odd j
+    below 2^k steps on h0 / 2^k, so each point's weight
+    omega_j = e^{-z cosh t_j}, z = 2 e^{-s/2}, is evaluated once
+    (`_fold_weights`).  With delta = mu1 - mu2 = a + ib,
+
+        cos(delta t) = cos(a t) cosh(b t) - i sin(a t) sinh(b t),
+
+    so a level's new part is two integer dot products (`_fixed_dot`): the
+    real weights 2 omega cosh(b t) and -2 omega sinh(b t) against cos(a t)
+    and sin(a t).  The weights are integers at 2^-W, and e^{|b| t}, e^{t}
+    and (cos, sin)(a t) advance along the level by `_fixed_ladder`, one
+    fixed-point multiply per point.  For real delta the sine weights are 0
+    and the value is exactly real.
+
+    Width.  The terms are O(1), while 2 K_{i delta}(z) is about
+    e^{-pi |a| / 2}, so the sum cancels that much.  It runs at
+    prec = integrand precision + log2(e) pi |a| / 2 + 1 bits, and its
+    weights and phases at W = prec + bit_length(M) + 8, M the largest index
+    j the refinement can reach: over up to M terms the weights' flooring and
+    the ladders' error (at most 5 M units) stay below 2^-(prec+5) of the
+    terms' modulus mass.
+
+    The error field is the last difference |S_k - S_{k-1}| plus the sum's
+    own rounding, TERM_ULPS 2^-prec h sum 2 omega_j cosh(b t_j), which
+    bounds h sum |terms| (`trapezoid_sums`).
     """
     if not all(mp.isfinite(v) for v in (mu1, mu2, s)):
         raise DomainError("mu1, mu2 and s must be finite")
     if cfg is None:
         cfg = QuadratureConfig()
-    # z and delta at the integrand's precision: the caller's would round
-    # them, and the refinement estimate cannot see that.
-    with mp.workprec(cfg.integrand_prec()):
+    a_bits = math.log2(math.e) * math.pi * abs(float(mp.re(mp.mpc(mu1) - mp.mpc(mu2)))) / 2
+    prec = cfg.integrand_prec() + int(a_bits) + 1
+    # z and delta at the sum's precision: the caller's would round them,
+    # and the refinement estimate cannot see that.
+    with mp.workprec(prec):
         delta = mp.mpc(mu1) - mp.mpc(mu2)
+        a, b = mp.re(delta), mp.im(delta)
         z = 2 * mp.exp(-mp.mpf(s) / 2)
+        h0, tmax = _profile_lattice(z, cfg.target_rel_error, abs(delta), abs(b))
+        steps = int(mp.ceil(tmax / h0))
+        width = prec + (steps << (cfg.max_depth - 1)).bit_length() + 8
 
-        def value_at(level):
-            h, omegas = profile_grid(z, cfg.target_rel_error, abs(delta),
-                                     abs(mp.im(delta)), level)
-            return mp.fsum(omega * mp.cos(m * h * delta) for m, omega in enumerate(omegas))
+        def sums_at(level):
+            h = h0 / 2**level
+            # Level 0 takes j = 0..steps, each later level the odd j.
+            first, stride = (0, 1) if level == 0 else (1, 2)
+            lattice = (first, stride, (steps << level) // stride + 1 - first, width)
+            omegas = _fold_weights(z, h, *lattice, prec)
+            # The folded weights 2 omega_j (omega_0 at j = 0) times
+            # cosh(b t) and -sinh(b t), from the growing ladder e^{|b| t}
+            # and its reciprocal.
+            if b:
+                ups, _ = _fixed_ladder(abs(b) * h, *lattice)
+                downs = [(1 << 2 * width) // up for up in ups]
+                sign = 1 if b > 0 else -1
+                re = [(w * (up + down)) >> width for w, up, down in zip(omegas, ups, downs)]
+                im = [sign * ((w * (down - up)) >> width)
+                      for w, up, down in zip(omegas, ups, downs)]
+            else:
+                re, im = [w << 1 for w in omegas], [0] * len(omegas)
+            if level == 0:
+                re[0] >>= 1
+            cos, sin = _fixed_ladder(1j * a * h, *lattice)
+            return (_fixed_dot((re, im, width), cos, sin, width),
+                    mp.mpf((sum(re), -width)))
 
-        return refine(value_at, range(cfg.max_depth), cfg, "profile sum")
+        return trapezoid_sums(sums_at, h0, cfg, "profile sum")
+
+
+def _profile_lattice(z, target: float, delta_max, rate):
+    """(h0, tmax), the level-0 step and the window of the GL(2) profile's
+    trapezoid sum at z, out to |delta| = delta_max, for `profile_grid` and
+    `pair_profile`.  The integrand e^{i delta t - z cosh t} is analytic for
+    |Im t| < pi/2, so the error falls like e^{-pi^2/h + pi |delta|/2}
+    (Trefethen & Weideman, SIAM Rev. 2014): h0 puts it below e^{-need},
+    need = -log(target) + 20.  The folded tail beyond tmax is below
+    e^{-2 need}, and tmax outruns the phase's growth e^{rate |t|},
+    rate = |Im delta|."""
+    need = -mp.log(mp.mpf(target)) + 20
+    tmax = 0
+    for _ in range(4):
+        tmax = mp.log(2 * (need + rate * tmax) / z + 3) + 1
+    return mp.pi ** 2 / (mp.mpf(1.5) * mp.pi * delta_max + need), tmax
+
+
+def _fold_weights(z, h, first: int, stride: int, count: int, width: int, prec: int) -> list:
+    """e^{-z cosh t} at t = (first + stride i) h for i < count, as integers
+    at 2^-width: cosh t from the fixed-point ladder e^{t} of `_fixed_ladder`
+    and its reciprocal, then one exponential per point at prec bits."""
+    ups, _ = _fixed_ladder(h, first, stride, count, width)
+    zf = to_fixed(z._mpf_, width)
+    xs = [(zf * (up + (1 << 2 * width) // up)) >> (width + 1) for up in ups]
+    return [to_fixed(mpf_exp(from_man_exp(-x, -width), prec), width) for x in xs]
 
 
 def profile_grid(z, target: float, delta_max, rate=0, level: int = 0):
     """(h, omegas) with 2 K_{i delta}(z) = sum_m omega_m cos(m h delta): the
     trapezoid rule for integral e^{i delta t - z cosh t} dt on t = m h, folded
     onto m >= 0, so omega_0 = h e^{-z} and omega_m = 2 h e^{-z cosh(m h)} up
-    to t = tmax.  The integrand is analytic for |Im t| < pi/2, so the error
-    falls like e^{-pi^2/h + pi |delta|/2} (Trefethen & Weideman, SIAM Rev.
-    2014), below e^{-need} out to |delta| = delta_max.  tmax outruns the
-    phase's growth e^{rate |t|}, rate = |Im delta|; each level halves h.
-    The N = 2 profile and the spectral sum's chi grid both sum on it."""
-    need = -mp.log(mp.mpf(target)) + 20
-    tmax = 0
-    for _ in range(4):
-        tmax = mp.log(2 * (need + rate * tmax) / z + 3) + 1
-    h = mp.pi ** 2 / (mp.mpf(1.5) * mp.pi * delta_max + need) / 2**level
+    to t = tmax, on `_profile_lattice`'s step and window, out to
+    |delta| = delta_max and at growth rate = |Im delta|; each level halves h.
+    The spectral sum's chi grid sums on it."""
+    h0, tmax = _profile_lattice(z, target, delta_max, rate)
+    h = h0 / 2**level
     steps = int(mp.ceil(float(tmax) / h))
     omegas = [h * mp.exp(-z)]
     omegas += [2 * h * mp.exp(-z * mp.cosh(m * h)) for m in range(1, steps + 1)]

@@ -245,6 +245,21 @@ def test_eigen_single_variable_estimate_bounds_error(which, a_shift, x):
         assert abs(rep.rhs - closed) <= rep.diagnostics["quad_error"]
 
 
+@pytest.mark.parametrize("which", ["second", "first"])
+def test_eigen_single_variable_box_floor_keeps_the_digits(which):
+    # At target 1e-7 the box T is its floor, 30, and the cut tails sit below
+    # the level-1 lattice error, about 1e-18: a box sized to the target
+    # alone loses up to 8 of these digits.
+    w = (mp.mpc(0.3, -0.4),)
+    x = mp.mpf(0.2)
+    rep = baxter_eigen_check(w, 1.0, (x,), which, QuadratureConfig(target_rel_error=1e-7))
+    assert rep.diagnostics["T"] == 30.0
+    sign = -1 if which == "second" else 1
+    with mp.workprec(128):
+        closed = mp.exp(-mp.exp(sign * x)) * mp.exp(-sign * 1j * w[0] * x)
+        assert abs(rep.rhs - closed) <= mp.mpf("1e-17") * abs(closed)
+
+
 @pytest.mark.parametrize("x", [0.2, -0.7])
 @pytest.mark.parametrize("which, a_shift", list(EIGEN_N1_BITS))
 def test_eigen_single_variable_phases_hold_at_two_precisions(which, a_shift, x):
@@ -359,6 +374,23 @@ def test_residue_error_counts_its_own_rounding(n):
         res = residue_apply(POLE, CRITERION_4_W[n], -1.0, cap=40)
     with mp.workprec(400):
         assert abs(res.value - _full_residue(n).value) <= res.error
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_residue_estimate_bounds_error_against_closed_forms(n):
+    # At N >= 2 the shells cancel (for f = 1 every shell k >= 1 sums to 0)
+    # while their terms do not, so the sum's rounding scales with the terms'
+    # modulus mass.  f = 1 gives 1 and the exp-cutoff e^{-ic sum w}.
+    rng = random.Random(f"residue-rounding-{n}")
+    cutoff = CutoffFunction("exp-cutoff", c=0.5)
+    for _ in range(12):
+        w = tuple(mp.mpc(rng.uniform(-1, 1), rng.uniform(-0.6, -0.05)) for _ in range(n))
+        for f, exact in ((CutoffFunction("constant"), lambda: mp.mpc(1)),
+                         (cutoff, lambda: mp.exp(-0.5j * mp.fsum(w)))):
+            with mp.workprec(100):
+                res = residue_apply(f, w, -1.0, cap=40)
+            with mp.workprec(200):
+                assert abs(res.value - exact()) <= res.error, (f.kind, w)
 
 
 # Three points in the ranges the benchmark's contour workload draws its
@@ -586,7 +618,7 @@ def test_eigen_pair_on_high_lines_raises_rather_than_understates(a_shift, which)
     # only to first order: the levels cannot agree to the target.  (The
     # Gauss-Legendre panels returned values 9e-4 and 0.5 off, under
     # estimates near 1e-8 and 1e-11.)  Sizing T from a_shift is ROADMAP
-    # item 4.
+    # item 8.
     w = (mp.mpc(0.2, -0.5), mp.mpc(-0.1, -0.6))
     with pytest.raises(QuadratureError, match="spectral quadrature did not converge"):
         baxter_eigen_check(w, 1.0, (0.3, -0.3), which, a_shift=a_shift)

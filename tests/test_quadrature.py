@@ -182,3 +182,16 @@ def test_one_refinement_loop():
                                 and inner.module == "quadrature"), \
                         f"{info.name}.py imports from .quadrature inside {node.name}"
     assert raises == {"quadrature": 1}
+
+
+def test_one_fixed_point_copy():
+    # The profile sum and the rank-8 pair sum scale and dot on integers
+    # through one copy of the fixed-point helpers.
+    src = Path(qwlab.__file__).parent
+    defined = {}
+    for info in pkgutil.iter_modules(qwlab.__path__):
+        tree = ast.parse((src / f"{info.name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in ("_fixed_point", "_fixed_dot"):
+                defined.setdefault(node.name, []).append(info.name)
+    assert defined == {"_fixed_point": ["quadrature"], "_fixed_dot": ["quadrature"]}

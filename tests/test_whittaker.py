@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 from oracles import GiventalPattern, gauss_legendre_pattern_3, givental_action, integrate_nd
 
-from qwlab import quadrature
+from qwlab import quadrature, whittaker
 from qwlab.gamma import gamma_c
 from qwlab.qcore import DomainError
 from qwlab.quadrature import QuadratureConfig
@@ -417,3 +417,60 @@ def test_n2_error_estimates_bound_the_k_bessel_closed_form():
         for res, anchor in cases:
             slack = 16 * mp.mpf(2) ** -64 * abs(anchor)
             assert abs(res.value - anchor) <= res.error + slack
+
+
+# (mu1, mu2, s) where the profile sum at 94 bits cancelled to below its
+# estimate: at |Re delta| = 8..20 the terms are O(1) while the profile is
+# about e^{-pi |Re delta| / 2}.
+CANCELLING_PROFILES = [(8, 0, 0), (6, -6, 0.5), (12, 0, 2.5), (10, -10, -1)]
+
+
+def _profile_points():
+    rng = random.Random("profile-sum")
+    points = list(CANCELLING_PROFILES)
+    for _ in range(8):
+        re, im = rng.uniform(-20, 20), rng.choice([0, rng.uniform(-0.6, 0.6)])
+        points.append((complex(round(re, 3), round(im, 3)), 0, round(rng.uniform(-2, 3), 3)))
+    return points
+
+
+@pytest.mark.parametrize("target", [1e-5, 1e-10, 1e-12])
+@pytest.mark.parametrize("mu1, mu2, s", _profile_points())
+def test_profile_estimate_bounds_error_against_k_bessel(mu1, mu2, s, target):
+    res = pair_profile(mu1, mu2, s, QuadratureConfig(target_rel_error=target))
+    with mp.workprec(200):
+        exact = 2 * mp.besselk(1j * (mp.mpc(mu1) - mp.mpc(mu2)), 2 * mp.exp(-mp.mpf(s) / 2))
+        assert abs(res.value - exact) <= res.error
+
+
+@pytest.mark.parametrize("mu1, mu2, s", [(0.5, -0.2, 0.6), (12, 0, 2.5), (-3.7, 6.1, -2)])
+def test_profile_of_real_order_is_real(mu1, mu2, s):
+    assert mp.im(pair_profile(mu1, mu2, s).value) == 0
+
+
+@pytest.mark.parametrize("mu1, mu2, s", [*CANCELLING_PROFILES, (0.3 + 0.2j, -0.4 - 0.3j, 1.0)])
+def test_profile_holds_at_two_precisions(mu1, mu2, s):
+    cfg = QuadratureConfig()
+    low = pair_profile(mu1, mu2, s, cfg)
+    high = pair_profile(mu1, mu2, s, QuadratureConfig(prec_bits=cfg.working_prec() + 64))
+    with mp.workprec(300):
+        assert abs(low.value - high.value) <= low.error + high.error
+
+
+def test_profile_evaluates_each_weight_once(monkeypatch):
+    # Every level's points are new, so the weights taken over a two-level
+    # run are the level-1 lattice j h0 / 2, j = 0..2 steps, each once.
+    calls = []
+    fold_weights = whittaker._fold_weights
+
+    def counting(z, h, first, stride, count, *rest):
+        calls.append((h, first, stride, count))
+        return fold_weights(z, h, first, stride, count, *rest)
+
+    monkeypatch.setattr(whittaker, "_fold_weights", counting)
+    res = pair_profile(0.5 + 0.1j, -0.2, 0.6)
+    assert res.diagnostics["levels"] == 2
+    finest = calls[-1][0]
+    points = [int(h / finest) * (first + stride * i)
+              for h, first, stride, count in calls for i in range(count)]
+    assert sorted(points) == list(range(max(points) + 1))
