@@ -184,7 +184,8 @@ def pair_profile(mu1, mu2, s, cfg: QuadratureConfig | None = None) -> QuadResult
     `_profile_lattice`'s step h0, and each level k >= 1 adds only the odd j
     below 2^k steps on h0 / 2^k, so each point's weight
     omega_j = e^{-z cosh t_j}, z = 2 e^{-s/2}, is evaluated once
-    (`_fold_weights`).  With delta = mu1 - mu2 = a + ib,
+    (`_fold_weights`, over the largest weight e^{-z}, which the level's
+    sums are multiplied by).  With delta = mu1 - mu2 = a + ib,
 
         cos(delta t) = cos(a t) cosh(b t) - i sin(a t) sinh(b t),
 
@@ -222,6 +223,12 @@ def pair_profile(mu1, mu2, s, cfg: QuadratureConfig | None = None) -> QuadResult
         h0, tmax = _profile_lattice(z, cfg.target_rel_error, abs(delta), abs(b))
         steps = int(mp.ceil(tmax / h0))
         width = prec + (steps << (cfg.max_depth - 1)).bit_length() + 8
+        # The weights are scaled by the largest, e^{-z} at t = 0, so that a
+        # large z cannot sink them below 2^-W.  e^{-z} amplifies the
+        # rounding of z by z, so z takes its own bits above W.
+        with mp.workprec(width + int(z).bit_length()):
+            z = 2 * mp.exp(-mp.mpf(s) / 2)
+            peak = mp.exp(-z)
 
         def sums_at(level):
             h = h0 / 2**level
@@ -244,8 +251,8 @@ def pair_profile(mu1, mu2, s, cfg: QuadratureConfig | None = None) -> QuadResult
             if level == 0:
                 re[0] >>= 1
             cos, sin = _fixed_ladder(1j * a * h, *lattice)
-            return (_fixed_dot((re, im, width), cos, sin, width),
-                    mp.mpf((sum(re), -width)))
+            return (peak * _fixed_dot((re, im, width), cos, sin, width),
+                    peak * mp.mpf((sum(re), -width)))
 
         return trapezoid_sums(sums_at, h0, cfg, "profile sum")
 
@@ -267,12 +274,14 @@ def _profile_lattice(z, target: float, delta_max, rate):
 
 
 def _fold_weights(z, h, first: int, stride: int, count: int, width: int, prec: int) -> list:
-    """e^{-z cosh t} at t = (first + stride i) h for i < count, as integers
+    """e^{-z (cosh t - 1)} at t = (first + stride i) h for i < count, the
+    profile's weights e^{-z cosh t} over their largest, e^{-z}, as integers
     at 2^-width: cosh t from the fixed-point ladder e^{t} of `_fixed_ladder`
     and its reciprocal, then one exponential per point at prec bits."""
     ups, _ = _fixed_ladder(h, first, stride, count, width)
     zf = to_fixed(z._mpf_, width)
-    xs = [(zf * (up + (1 << 2 * width) // up)) >> (width + 1) for up in ups]
+    two = 2 << width
+    xs = [(zf * (up + (1 << 2 * width) // up - two)) >> (width + 1) for up in ups]
     return [to_fixed(mpf_exp(from_man_exp(-x, -width), prec), width) for x in xs]
 
 

@@ -427,7 +427,9 @@ CANCELLING_PROFILES = [(8, 0, 0), (6, -6, 0.5), (12, 0, 2.5), (10, -10, -1)]
 
 def _profile_points():
     rng = random.Random("profile-sum")
-    points = list(CANCELLING_PROFILES)
+    # z = 2 e^{-s/2} from 6e-7 to 4e4: the profile runs from O(1) down to
+    # 1e-19134, so the weights cannot sit on one absolute fixed-point scale.
+    points = [*CANCELLING_PROFILES, (0.5, -0.2, -10), (0.3 + 0.4j, 0, -20), (9 + 0.5j, -0.2, 30)]
     for _ in range(8):
         re, im = rng.uniform(-20, 20), rng.choice([0, rng.uniform(-0.6, 0.6)])
         points.append((complex(round(re, 3), round(im, 3)), 0, round(rng.uniform(-2, 3), 3)))
@@ -448,7 +450,8 @@ def test_profile_of_real_order_is_real(mu1, mu2, s):
     assert mp.im(pair_profile(mu1, mu2, s).value) == 0
 
 
-@pytest.mark.parametrize("mu1, mu2, s", [*CANCELLING_PROFILES, (0.3 + 0.2j, -0.4 - 0.3j, 1.0)])
+@pytest.mark.parametrize("mu1, mu2, s", [*CANCELLING_PROFILES, (0.3 + 0.2j, -0.4 - 0.3j, 1.0),
+                                         (0.5, -0.2, -10)])
 def test_profile_holds_at_two_precisions(mu1, mu2, s):
     cfg = QuadratureConfig()
     low = pair_profile(mu1, mu2, s, cfg)
