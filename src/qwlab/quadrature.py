@@ -210,7 +210,8 @@ def _fixed_point(values, bits: int):
 
 def _fixed_dot(weights, re_phases, im_phases, scale: int):
     """sum_j re_j re_phase_j + i sum_j im_j im_phase_j as an mpc, from
-    `_fixed_point` weights (re, im) and integer phases at 2^-scale."""
+    weights (re, im, shift), integer lists at 2^-shift as `_fixed_point`
+    gives them, and integer phases at 2^-scale."""
     re, im, shift = weights
     unit = -(shift + scale)
     return mp.mpc(mp.mpf((sum(map(operator.mul, re, re_phases)), unit)),
