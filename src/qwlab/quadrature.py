@@ -7,8 +7,8 @@ lab goes through it.
 
 The one rule for 1-d sums is the nested trapezoid rule on the lattice
 t = j h0 / 2^k.  The lab's integrands (Gamma products on a spectral line,
-cutoff integrals, K-Bessel products) are analytic in a strip about the real
-line and decay along it, and there the rule converges geometrically
+cutoff integrals, products of GL(2) profiles) are analytic in a strip about
+the real line and decay along it, and there the rule converges geometrically
 (Trefethen & Weideman, SIAM Rev. 56, 2014).  Its levels nest: `nodes_1d`
 gives the points a level adds, so a level's sum is half the last level's
 plus its own, and each point is evaluated once (`trapezoid_refine`,
@@ -16,10 +16,13 @@ plus its own, and each point is evaluated once (`trapezoid_refine`,
 checks and the contour sum on its hyperbola all read `nodes_1d`.  The GL(2)
 profile (`whittaker.pair_profile`) nests the same way on its own lattice,
 folded onto t >= 0: it sums each level's new points on integers and hands
-`trapezoid_sums` the level's sum and modulus mass.  Two grids keep their
+`trapezoid_sums` the level's sum and modulus mass.  Three grids keep their
 own form: the spectral sum's chi grid (`whittaker.profile_grid`), one level
-of that lattice, and the N = 3 pattern lattice (`whittaker._pattern_sum_3`),
-summed afresh at each halving of its step.
+of that lattice; the profiles' lattice s = d h (`whittaker._lattice_profiles`),
+where one table F_k = e^{-e^{k h/2}} gives the profile at every d, and on
+which the N = 2 Stade relative integral puts its `nodes_1d` points; and the
+N = 3 pattern lattice (`whittaker._pattern_sum_3`), which takes its row-1
+profiles from that table and is summed afresh at each halving of its step.
 
 Two of these sums run on a map of the real line rather than on the
 integration variable itself.  Stade's cutoff integral in y, whose left tail
@@ -171,15 +174,21 @@ def lattice_need(target: float) -> float:
     return -math.log(target) + 12
 
 
+def lattice_step(strip, target: float) -> float:
+    """h0 = 2 pi strip / need, need = lattice_need(target): `integrate_1d`'s
+    level-0 step for an integrand analytic in |Im t| < strip."""
+    return 2 * math.pi * strip / lattice_need(target)
+
+
 def integrate_1d(f, lo, hi, cfg: QuadratureConfig, strip) -> QuadResult:
     """integral of f over [lo, hi] by `trapezoid_refine` on the lattice
-    t = j h0 / 2^k, h0 = 2 pi strip / need, need = lattice_need(target).
+    t = j h0 / 2^k, h0 = lattice_step(strip, target).
     For f analytic and integrable in |Im t| < strip, the trapezoid error is
     about e^{-2 pi strip / h} times the integral of |f| on the strip's edges
     (Trefethen & Weideman, SIAM Rev. 56, 2014): near e^{-need} at level 0,
     squared at each halving.  The refinement cannot see truncation, so the
     caller's window must cut the tails far below that, at e^{-2 need}."""
-    h0 = 2 * math.pi * strip / lattice_need(cfg.target_rel_error)
+    h0 = lattice_step(strip, cfg.target_rel_error)
     label = f"1-d quadrature on [{lo}, {hi}]"
     with mp.workprec(cfg.integrand_prec()):
         return trapezoid_refine(lambda level: [f(t) for t in nodes_1d(level, lo, hi, h0)],
@@ -190,9 +199,11 @@ def integrate_1d(f, lo, hi, cfg: QuadratureConfig, strip) -> QuadResult:
 # Lattice phases and fixed-point sums
 # ---------------------------------------------------------------------------
 #
-# Two sums run on integers: the GL(2) profile (`whittaker.pair_profile`) and
-# the rank-8 pair sum of the N = 2 spectral integral
-# (`baxter._rank8_pair_sum`).  Their weights are integers at 2^-shift (the
+# These sums run on integers: the GL(2) profile (`whittaker.pair_profile`),
+# the profiles on a lattice and the N = 3 row-2 sums
+# (`whittaker._lattice_profiles`, `whittaker._pattern_sum_3`), and the
+# rank-8 pair sum of the N = 2 spectral integral (`baxter._rank8_pair_sum`).
+# Their weights are integers at 2^-shift (the
 # rank-8 sum scales its mpc weights once by `_fixed_point`), their phases
 # are integers at 2^-scale advanced by `_fixed_rotate`, and each sum is an
 # exact integer dot product (`_fixed_dot`), rounded once.

@@ -23,19 +23,28 @@ point takes one exponential.  The separation is cross-checked against the
 direct pattern integral in the tests.  The profile's closed form is
 2 K_{i(mu1-mu2)}(2 e^{-s/2}), the GL(2) Whittaker function (Bump,
 Automorphic Forms and Representations, 1997): the tests anchor
-`pair_profile` against it, and the N = 2 Stade check takes its profiles
-from it.
+`pair_profile` against it.
+
+On a lattice s = d h the profile's own trapezoid sum in t = m h factors
+through one table F_k = e^{-e^{k h/2}}, and `_lattice_profiles` gives the
+profile at every d of the lattice from it, in integer fixed point, with an
+a priori bound (`_lattice_profile_bounds`).  The N = 2 Stade check puts its
+nodes on such a lattice and takes both profiles there; no K-Bessel function
+is evaluated.
 
 For N = 3 the row-1 entry integrates to that profile of row 2, and the
 remaining double integral over row 2 is one step of Givental's recursion.
 `_pattern_sum_3` sums all three entries on one uniform lattice, with the
-row-1 sum in the profile's own trapezoid form, refined by halving the step.
+row-1 sum from `_lattice_profiles` and the row-2 sums on integers too,
+refined by halving the step.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, mpf_exp, to_fixed
@@ -47,8 +56,11 @@ from .quadrature import (
     QuadResult,
     _fixed_dot,
     _fixed_ladder,
+    _fixed_point,
     integrate_1d,
     lattice_need,
+    lattice_step,
+    nodes_1d,
     refine,
     trapezoid_sums,
 )
@@ -129,17 +141,18 @@ def _pattern_sum_3(lam, x, h, L):
 
     The row-1 sum is the trapezoid sum of the GL(2) profile,
     chi_d = 2 K_{i delta}(2 e^{-d h/2}) for d = i - j, delta = lam1 - lam2,
-    summed as `profile_grid` sums it: with F_k = e^{-e^{k h/2}} on the half
-    lattice, e^{-2 e^{-d h/2} cosh(m h)} = F_{2m-d} F_{-2m-d}, so one F table
-    and one cos(m h delta) table serve every d.  The double sum over row 2
-    is then
+    which `_lattice_profiles` gives at every d from one F table,
+    F_k = e^{-e^{k h/2}} on the half lattice, cut beyond k = 2 L / h.  The
+    double sum over row 2 is then
 
         h^2 e^{i lam3 (x1 + x2 + x3)} sum_d chi_d sum_i a_i b_{i-d},
 
     a_i and b_j the row-2 couplings to x times the phase
     e^{i (lam1 + lam2 - 2 lam3) z / 2}: O(n) exponentials per level for n
     lattice nodes per axis.  This is one step of Givental's recursion
-    (Givental 1997) read as a quadrature sum."""
+    (Givental 1997) read as a quadrature sum.  The correlations
+    sum_i a_i b_{i-d} and their sum against chi_d are integer dot products,
+    a and b scaled once by `_fixed_point`, at the profiles' width."""
     l1, l2, l3 = lam
     x1, x2, x3 = x
     delta = l1 - l2
@@ -157,19 +170,37 @@ def _pattern_sum_3(lam, x, h, L):
         return out
 
     a, b = row(i0, i1, x1, x2), row(j0, j1, x2, x3)
-    # y - z1 = (2m - d) h / 2 and z2 - y = (-2m - d) h / 2 stay below L.
+    # y - z1 = (2m - d) h / 2 and z2 - y = (-2m - d) h / 2 stay below L, so
+    # F_k is cut beyond k = kcut.
     dmin, dmax = max(i0 - j1, -kcut), i1 - j0
-    mmax = (kcut + dmax) // 2
-    f0 = -2 * mmax - dmax
-    F = [mp.exp(-mp.exp(k * h / 2)) for k in range(f0, kcut + 1)]
-    cosines = [mp.cos(m * h * delta) * (2 if m else 1) for m in range(mmax + 1)]
-    chis, corrs = [], []
-    for d in range(dmin, dmax + 1):
-        ms = range((kcut + d) // 2 + 1)
-        chis.append(mp.fdot((F[2 * m - d - f0] * F[-2 * m - d - f0] for m in ms), cosines))
+    ds = range(dmin, dmax + 1)
+    # The profiles' error is absolute, and where the pattern peaks,
+    # z1 - z2 = (x1 - x3) / 2, they are about e^{-z}, z = 2 e^{(x3 - x1)/4}:
+    # the width keeps those bits too.
+    zbits = int(math.log2(math.e) * 2 * math.exp(float(x3 - x1) / 4))
+    width = _profile_width(mp.mp.prec + zbits + len(ds).bit_length(), [delta],
+                           (kcut + dmax) // 2)
+    (chis,) = _lattice_profiles(_profile_table(h, kcut, dmax, width), ds, [delta])
+    # The row-2 correlations sum_i a_i b_{i-d}, and their sum against chi_d,
+    # on integers: a and b at 2^-shift, chi_d at 2^-(3 width).
+    re, im, shift = _fixed_point(a + b, width)
+    n = len(a)
+    ar, ai, br, bi = re[:n], im[:n], re[n:], im[n:]
+    total_re = total_im = 0
+    for d, (cr, ci) in zip(ds, chis):
         lo, hi = max(i0, j0 + d), min(i1, j1 + d)
-        corrs.append(mp.fdot(a[lo - i0:hi - i0 + 1], b[lo - d - j0:hi - d - j0 + 1]))
-    return h ** 3 * mp.exp(1j * l3 * (x1 + x2 + x3)) * mp.fdot(chis, corrs)
+        sa, sb = slice(lo - i0, hi - i0 + 1), slice(lo - d - j0, hi - d - j0 + 1)
+        rr = _dot(ar[sa], br[sb]) - _dot(ai[sa], bi[sb])
+        ri = _dot(ar[sa], bi[sb]) + _dot(ai[sa], br[sb])
+        total_re += cr * rr - ci * ri
+        total_im += cr * ri + ci * rr
+    unit = -(3 * width + 2 * shift)
+    total = mp.mpc(mp.mpf((total_re, unit)), mp.mpf((total_im, unit)))
+    return h ** 3 * mp.exp(1j * l3 * (x1 + x2 + x3)) * total
+
+
+def _dot(u, v) -> int:
+    return sum(map(operator.mul, u, v))
 
 
 def pair_profile(mu1, mu2, s, cfg: QuadratureConfig | None = None) -> QuadResult:
@@ -301,6 +332,189 @@ def profile_grid(z, target: float, delta_max, rate=0, level: int = 0):
 
 
 # ---------------------------------------------------------------------------
+# GL(2) profiles on a lattice
+# ---------------------------------------------------------------------------
+#
+# On the lattice s = d h the profile's own trapezoid sum in t = m h factors:
+# z cosh t = e^{(2m - d) h/2} + e^{(-2m - d) h/2} for z = 2 e^{-d h/2}, so
+#
+#     chi_d = 2 K_{i delta}(2 e^{-d h/2}) ~ h sum_{m >= 0} F_{2m-d} F_{-2m-d} c_m,
+#
+# F_k = e^{-e^{k h/2}} and c_m = (2 if m else 1) cos(m h delta).  One F table
+# and one phase table per delta serve every d; each chi_d is one integer dot
+# product.  The N = 3 lattice sum and the N = 2 Stade integral read it.
+
+
+class _ProfileTable(NamedTuple):
+    """F_k = e^{-e^{k h/2}} for kmin <= k <= kmax, integers at 2^-width, each
+    off by at most `units` units; F_k beyond kmax is taken as 0."""
+    h: object
+    kmin: int
+    kmax: int
+    width: int
+    values: list
+    units: int
+
+
+def _profile_table(h, kmax: int, dmax: int, width: int) -> _ProfileTable:
+    """The F table for every d <= dmax, down to kmin = -kmax - 2 dmax.
+
+    e^{k h/2} comes from one `_fixed_ladder` at 2^-ladder, ladder bits enough
+    that its smallest entry keeps width + 8 bits, so each entry is off by at
+    most (5 i + 3) 2^-(width+8) relative; then one exponential per entry.
+    Below k0, where e^{k h/2} < 2^-(width+2), F_k is 1 to within a unit.  So
+    F_k is off by at most F e^{k h/2} (5 i + 3) 2^-(width+8) + 2 units, under
+    3 + i / 128 units, i <= kmax - k0."""
+    kmin = -kmax - 2 * max(dmax, 0)
+    k0 = max(kmin, -math.ceil(2 * (width + 2) * math.log(2) / float(h)))
+    ladder = width + 8 + max(0, math.ceil(-k0 * float(h) / 2 * math.log2(math.e)))
+    exps, _ = _fixed_ladder(h / 2, k0, 1, kmax - k0 + 1, ladder)
+    values = [1 << width] * (k0 - kmin)
+    values += [to_fixed(mpf_exp(from_man_exp(-e, -ladder), width + 4), width) for e in exps]
+    return _ProfileTable(h, kmin, kmax, width, values, 4 + (kmax - k0) // 128)
+
+
+def _profile_phases(delta, h, count: int, width: int) -> tuple:
+    """(re, im): c_m = (2 if m else 1) cos(m h delta) for m < count, integers
+    at 2^-width, im None when every c_m is real.  With delta = a + ib,
+    cos(m h delta) = cos(m h a) cosh(m h b) - i sin(m h a) sinh(m h b), from
+    the ladders (cos, sin)(m h a) and e^{|b| m h} of `_fixed_ladder` and the
+    reciprocal of the latter: each part is off by at most
+    (10 m + 10) 2^-width 2 e^{|b| m h}."""
+    a, b = mp.re(delta), mp.im(delta)
+    # The steps at the ladders' precision: m times a rounded step would
+    # drift by m of its ulps.
+    with mp.workprec(width + count.bit_length() + 8):
+        if a:
+            cos, sin = _fixed_ladder(1j * a * h, 0, 1, count, width)
+        else:
+            cos, sin = [1 << width] * count, None
+        if b:
+            ups, _ = _fixed_ladder(abs(b) * h, 0, 1, count, width)
+    if b:
+        downs = [(1 << 2 * width) // up for up in ups]
+        re = [(c * (up + down)) >> width for c, up, down in zip(cos, ups, downs)]
+        sign = 1 if b > 0 else -1
+        im = sin and [sign * ((s * (down - up)) >> width) for s, up, down in zip(sin, ups, downs)]
+    else:
+        re, im = [c << 1 for c in cos], None
+    re[0] >>= 1
+    return re, im
+
+
+def _profile_width(prec: int, deltas, top: int) -> int:
+    """The F and phase tables' width for profiles good to 2^-prec: the terms
+    are O(1) while 2 K_{i delta} is about e^{-pi |Re delta| / 2}, so the sum
+    cancels that much, and its rounding grows like top^2 (see
+    `_lattice_profile_bounds`), top the largest m."""
+    a_bits = math.log2(math.e) * math.pi * max(abs(float(mp.re(d))) for d in deltas) / 2
+    return prec + int(a_bits) + 2 * (top + 1).bit_length() + 8
+
+
+def _profile_step(deltas, prec: int) -> float:
+    """The profiles' lattice step for their trapezoid error to fall below
+    2^-prec at every delta: pi^2 / (1.5 pi max|delta| + need), need = prec
+    log 2, which puts the step term of `_lattice_profile_bounds` near
+    e^{2 - need} 2 K_{|Im delta|}(z sin(h/4))."""
+    need = prec * math.log(2)
+    return math.pi ** 2 / (1.5 * math.pi * max(abs(complex(d)) for d in deltas) + need)
+
+
+def _profile_table_at(h, dmax: int, deltas, prec: int) -> _ProfileTable:
+    """The F table for profiles good to 2^-prec on the lattice s = d h,
+    d <= dmax.  kmax puts the truncated terms below e^{-need}, need =
+    prec log 2 (see `_lattice_profile_bounds`): beyond m = (kmax + d) / 2,
+    z e^t / 2 >= X = e^{(kmax+1) h/2}, and X outruns the phases' growth
+    e^{rate t}, rate = max |Im delta|, out to t = log X + dmax h / 2 + 2 h."""
+    need = prec * math.log(2)
+    rate = max(abs(float(mp.im(d))) for d in deltas)
+    x = need + 2
+    for _ in range(4):
+        x = need + 2 + rate * (math.log(x) + dmax * float(h) / 2 + 2 * float(h))
+    kmax = math.ceil(2 * math.log(x) / float(h))
+    return _profile_table(h, kmax, dmax, _profile_width(prec, deltas, (kmax + dmax) // 2))
+
+
+def _lattice_profiles(table: _ProfileTable, ds, deltas) -> list:
+    """chi_d = 2 K_{i delta}(2 e^{-d h/2}) for each d in ds and each delta,
+    as the truncated trapezoid sum h sum_{m=0}^{M_d} F_{2m-d} F_{-2m-d} c_m,
+    M_d = (kmax + d) // 2 (F_k = 0 beyond kmax): for each delta a list of
+    integer pairs (re, im) with chi_d = h (re + i im) 2^-(3 width).  The
+    products F F are formed once per d for all deltas; `_profile_phases`
+    gives c_m, and each part is one integer dot product."""
+    F, kmin, kmax = table.values, table.kmin, table.kmax
+    top = max(0, (kmax + max(ds)) // 2)
+    phases = [_profile_phases(delta, table.h, top + 1, table.width) for delta in deltas]
+    out = [[] for _ in deltas]
+    for d in ds:
+        m = (kmax + d) // 2
+        if m < 0:
+            for chis in out:
+                chis.append((0, 0))
+            continue
+        mid = -d - kmin  # F_{-d}
+        prods = list(map(operator.mul, F[mid:mid + 2 * m + 1:2], F[mid - 2 * m:mid + 1:2][::-1]))
+        for chis, (re, im) in zip(out, phases):
+            chis.append((_dot(prods, re), _dot(prods, im) if im else 0))
+    return out
+
+
+def _lattice_profile_bounds(table: _ProfileTable, ds, delta) -> list:
+    """For each d, a bound (a float) on |chi_d - 2 K_{i delta}(z)|,
+    z = 2 e^{-d h/2}, chi_d from `_lattice_profiles`: step, truncation and
+    rounding.  With delta = a + ib, f(t) = e^{i delta t - z cosh t}:
+
+    - step: h sum_m f(m h) - integral f = sum_{k != 0} 2 K_{i(delta - 2 pi k/h)}(z)
+      (Poisson), and moving the integral of each to Im t = +-theta,
+      theta = pi/2 - h/4, bounds it by
+      e^{-|a - 2 pi k/h| theta} 2 K_{|b|}(z sin(h/4)); summed over k,
+      2 e^{|a| theta} q / (1 - q) 2 K_{|b|}(z sin(h/4)),
+      q = e^{-2 pi theta / h}.  2 K_nu(w) is at most
+      2 e^{nu T} (T + G), T = log(2/w), G = max(1, Gamma(nu)), for w <= 2
+      (cosh t >= e^t / 2 beyond T), and 2 e^{-w} (2 pi / w)^{1/2} e^{nu^2/(2w)}
+      for w > 2 (cosh t >= 1 + t^2/2);
+    - truncation: from T = (M_d + 1) h on, z e^t / 2 >= X, and the folded
+      terms, each at most 2 e^{|b| t - X e^{t - T}}, fall geometrically by
+      e^{-h (X - |b|)}, X > |b| for any table that reaches 2^-prec:
+      h 2 e^{|b| T - X} / (1 - e^{-h (X - |b|)});
+    - rounding: F F off by at most 2 units + 1, c_m by (20 m + 20) units of
+      2 e^{|b| m h}, |c_m| <= 2 e^{|b| m h}, so at most
+      h 2^-width 2 (M + 1) e^{|b| M h} (3 units + 20 M + 22)."""
+    h = float(table.h)
+    a, b = abs(float(mp.re(delta))), abs(float(mp.im(delta)))
+    theta = math.pi / 2 - h / 4
+    q = 2 * math.pi * theta / h
+    alias = math.log(2) + a * theta - q - math.log1p(-math.exp(-q))
+    g = 1.0 if b <= 1 else math.gamma(b)
+    unit = math.log(h) - table.width * math.log(2)
+
+    def exp(v):
+        return math.exp(v) if v < 700 else math.inf
+
+    out = []
+    for d in ds:
+        m = max(-1, (table.kmax + d) // 2)
+        parts = []
+        if m >= 0:
+            parts.append(unit + math.log(2 * (m + 1) * (3 * table.units + 20 * m + 22))
+                         + b * m * h)
+        lx = (2 * m + 2 - d) * h / 2
+        if lx < 700:
+            x = math.exp(lx)
+            parts.append(math.log(2 * h) + b * (m + 1) * h - x
+                         - math.log1p(-math.exp(-h * (x - b))))
+        lw = math.log(2 * math.sin(h / 4)) - d * h / 2
+        if lw <= math.log(2):
+            t = math.log(2) - lw
+            parts.append(alias + math.log(2) + b * t + math.log(t + g))
+        elif lw < 700:
+            w = math.exp(lw)
+            parts.append(alias + math.log(2) - w + math.log(2 * math.pi / w) / 2 + b * b / (2 * w))
+        out.append(sum(map(exp, parts)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Sklyanin measures
 # ---------------------------------------------------------------------------
 
@@ -368,11 +582,13 @@ def stade_check(u, lam, nu, which: str = "first",
     r = lam_1 + nu_1.  At N = 2 the center-of-mass change of variables turns
     it into the same cutoff integral at rate r = sum(lam + nu), times a
     relative-coordinate integral over s = x_1 - x_2 of the two GL(2)
-    profiles, whose closed form is the K-Bessel function (see
-    `_stade_relative_integral`).  Both integrals are numeric, each by
-    `integrate_1d`'s nested trapezoid rule on a window whose tails are cut
-    at e^{-2 need}, where the refinement difference cannot see them; the
-    right side is the Gamma product.  cfg defaults to a 1e-11 target for
+    profiles 2 K(2 e^{-s/2}), taken on the lattice of `_lattice_profiles`
+    (see `_stade_relative_integral`).  Both integrals are numeric, each by
+    the nested trapezoid rule on `integrate_1d`'s lattice, on a window whose
+    tails are cut at e^{-2 need}, where the refinement difference cannot see
+    them; the right side is the Gamma product.  The left side is the
+    product of the two at the working precision, and its estimate counts
+    that product's rounding.  cfg defaults to a 1e-11 target for
     both N, and the relative tolerance to 1e-8 at N = 1 and 1e-4 at N = 2.
 
     The cutoff integral is summed in tau on the double-exponential map
@@ -385,7 +601,7 @@ def stade_check(u, lam, nu, which: str = "first",
     than pi/2, and the refinement takes more levels.  The relative-coordinate
     integral is also the same for both displays and is memoised on
     (lam, nu, rate, cfg, ambient precision), so the second display of a pair
-    takes no K-Bessel evaluation.
+    takes no profile evaluation.
     """
     if which not in ("first", "second"):
         raise DomainError("which must be 'first' or 'second'")
@@ -429,10 +645,13 @@ def stade_check(u, lam, nu, which: str = "first",
         diag = {"quad_error": com.error}
     else:
         rel, rel_error = _stade_relative_integral(lam, nu, rate, cfg, mp.mp.prec)
-        # At the working precision: the caller's would round the product.
+        # At the working precision, whose rounding of the product (under a
+        # unit of |com| |rel| in each part) the estimate counts: the
+        # caller's precision would round it by more.
         with mp.workprec(cfg.working_prec()):
             lhs = com.value * rel
-            err = abs(com.error * rel) + abs(com.value * rel_error)
+            err = (abs(com.error * rel) + abs(com.value * rel_error)
+                   + 2 * abs(com.value) * abs(rel) / 2**mp.mp.prec)
         diag = {"com_error": com.error, "rel_error": rel_error, "quad_error": err}
 
     rhs = u ** (-mp.fsum([v for v in lam]) - mp.fsum([v for v in nu]))
@@ -457,10 +676,22 @@ def _stade_relative_integral(lam, nu, rate, cfg: QuadratureConfig, prec: int) ->
 
     Each profile is pair_profile(mu1, mu2, s) = 2K_{i(mu1-mu2)}(2e^{-s/2}) at
     mu = -+i lam (resp. nu), so i(mu1 - mu2) = +-(lam1 - lam2); K is even in
-    its order, so both displays share this integral.  It is memoised on
-    (lam, nu, rate, cfg, prec), prec being the caller's ambient precision,
-    at which the box is sized, so the second display of a pair reuses the
-    first's; the result is an immutable tuple.
+    its order, so both displays share this integral.
+
+    It is the nested trapezoid sum (`trapezoid_sums`) on `integrate_1d`'s
+    lattice s = j h0 / 2^k, strip pi/2, over [s_lo, s_hi], whose tails are
+    below e^{-2 need}.  The profiles come from `_lattice_profiles` at step
+    h = h0 / 2^p, p the larger of the level and the depth at which h falls
+    below `_profile_step` at the integrand's precision: every node is
+    s = d h, and one kernel call per level gives both profiles at all of the
+    level's nodes from one F table (`_profile_table_at`, built again only
+    when p grows).  The error is the refinement's (last difference plus
+    rounding) plus the profiles' own, their bound `_lattice_profile_bounds`
+    times |e^{-rate s/2}| and the other profile, nested as the sum is.
+
+    It is memoised on (lam, nu, rate, cfg, prec), prec being the caller's
+    ambient precision, at which the box is sized, so the second display of a
+    pair reuses the first's; the result is an immutable tuple.
     """
     with mp.workprec(prec):
         # Tail rates in s: the profile product grows like e^{(d_lam + d_nu) s / 2}
@@ -473,16 +704,36 @@ def _stade_relative_integral(lam, nu, rate, cfg: QuadratureConfig, prec: int) ->
         s_hi = float(2 * need / right_rate + 5)
         s_lo = -float(2 * mp.log(need) + 6)
 
-        with mp.workprec(cfg.integrand_prec()):
-            order_lam, order_nu = lam[0] - lam[1], nu[0] - nu[1]
+    # K(2 e^{-s/2}) keeps its decay for |Im s| < pi; the lattice takes half
+    # that strip.
+    h0 = lattice_step(math.pi / 2, cfg.target_rel_error)
+    with mp.workprec(cfg.integrand_prec()):
+        # 2 K_{lam1 - lam2} = 2 K_{i delta} at delta = -i (lam1 - lam2).
+        deltas = (-1j * (lam[0] - lam[1]), -1j * (nu[0] - nu[1]))
+        # The profiles' step, fine enough for them to hold to the integrand's
+        # precision and for each level's nodes to lie on it.
+        depth = max(0, math.ceil(math.log2(h0 / _profile_step(deltas, mp.mp.prec))))
+        table, errors = None, mp.mpf(0)
 
-        def fs(s):
-            # integrate_1d calls this at the integrand's precision.
-            z = 2 * mp.exp(-s / 2)
-            return (4 * mp.exp(-rate * s / 2)
-                    * mp.besselk(order_lam, z) * mp.besselk(order_nu, z))
+        def sums_at(level):
+            nonlocal table, errors
+            h = mp.mpf(h0) / 2**max(depth, level)
+            if table is None or table.h != h:
+                table = _profile_table_at(h, int(s_hi / h) + 1, deltas, mp.mp.prec)
+            nodes = nodes_1d(level, s_lo, s_hi, h0)
+            ds = [int(mp.nint(s / h)) for s in nodes]
+            unit = -3 * table.width
+            chis = [[h * mp.mpc(mp.mpf((re, unit)), mp.mpf((im, unit))) for re, im in pairs]
+                    for pairs in _lattice_profiles(table, ds, deltas)]
+            bounds = [_lattice_profile_bounds(table, ds, d) for d in deltas]
+            terms, errs = [], []
+            for s, cl, cn, el, en in zip(nodes, *chis, *bounds):
+                w = mp.exp(-rate * s / 2)
+                terms.append(w * cl * cn)
+                errs.append(abs(w) * (el * abs(cn) + en * abs(cl) + el * en))
+            # The profiles' error, nested as the sum is.
+            errors = errors / 2 + mp.mpf(h0) / 2**level * mp.fsum(errs)
+            return mp.fsum(terms), mp.fsum(abs(v) for v in terms)
 
-        # K(2 e^{-s/2}) keeps its decay for |Im s| < pi; the lattice takes
-        # half that strip.
-        res = integrate_1d(fs, s_lo, s_hi, cfg, math.pi / 2)
-        return res.value, res.error
+        res = trapezoid_sums(sums_at, h0, cfg, f"relative-coordinate integral on [{s_lo}, {s_hi}]")
+        return res.value, res.error + errors

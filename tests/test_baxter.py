@@ -704,28 +704,46 @@ def test_spectral_sum_evaluates_each_gamma_once(monkeypatch):
     assert gammas[0] == sum(count for _, count in levels)
 
 
+def _counting_profiles(monkeypatch) -> list:
+    """(len(ds), len(deltas)) of each `_lattice_profiles` call, with
+    mp.besselk refused."""
+    calls = []
+    original = qwlab.whittaker._lattice_profiles
+
+    def counting(table, ds, deltas):
+        calls.append((len(ds), len(deltas)))
+        return original(table, ds, deltas)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("mp.besselk called")
+
+    monkeypatch.setattr(qwlab.whittaker, "_lattice_profiles", counting)
+    monkeypatch.setattr(mp, "besselk", refused)
+    return calls
+
+
 def test_relative_integral_evaluates_each_k_bessel_pair_once(monkeypatch):
-    # The profiles workload's N = 2 Stade input: two K-Bessel values per
-    # point of the stop level's lattice (Gauss-Legendre panels took 576
-    # calls here).
+    # The profiles workload's N = 2 Stade input: one kernel call per level,
+    # over exactly the points the level adds, with both profiles in it, and
+    # no K-Bessel call (the mp.besselk route took two per point).
     qwlab.whittaker._stade_relative_integral.cache_clear()
-    bessels = _counting(monkeypatch, mp, "besselk")
-    levels = _counting_points(monkeypatch, qwlab.quadrature)
+    kernel = _counting_profiles(monkeypatch)
+    levels = _counting_points(monkeypatch, qwlab.whittaker)
     lam, nu = (mp.mpc(1.5), mp.mpc(1.4)), (mp.mpc(1.45), mp.mpc(1.35))
     qwlab.whittaker._stade_relative_integral(lam, nu, sum(lam) + sum(nu),
                                              QuadratureConfig(target_rel_error=1e-2),
                                              mp.mp.prec)
     assert [level for level, _ in levels] == list(range(len(levels)))
-    assert bessels[0] == 2 * sum(count for _, count in levels)
+    assert kernel == [(count, 2) for _, count in levels]
 
 
 def test_second_stade_display_takes_no_k_bessel_evaluation(monkeypatch):
     qwlab.whittaker._stade_relative_integral.cache_clear()
-    calls = _counting(monkeypatch, mp, "besselk")
+    calls = _counting_profiles(monkeypatch)
     stade_check(1.0, (0.5, 0.2), (0.4, 0.3), "first")
-    first = calls[0]
+    first = len(calls)
     stade_check(1.0, (0.5, 0.2), (0.4, 0.3), "second")
-    assert first > 0 and calls[0] == first
+    assert first > 0 and len(calls) == first
 
 
 def _interleaved_equals_cold(memo, run):

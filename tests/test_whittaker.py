@@ -381,6 +381,81 @@ def test_stade_pair_matches_gamma_product(u, lam, nu):
             assert abs(rep.lhs - rhs) <= rep.diagnostics["quad_error"] + slack
 
 
+def _gamma_product(u, lam, nu):
+    with mp.workprec(300):
+        rhs = mp.mpf(u) ** -(mp.fsum(lam) + mp.fsum(nu))
+        for li in lam:
+            for nj in nu:
+                rhs *= mp.gamma(mp.mpc(li) + nj)
+        return rhs
+
+
+@pytest.mark.parametrize("u, lam, nu, target", [
+    (1.0, (0.5, 0.2), (0.4, 0.3), 1e-11),  # criterion 5
+    (1.0, (1.5, 1.4), (1.45, 1.35), 1e-2),  # the profiles workload's pair
+    (1.0, (0.7 + 0.2j, 0.4 - 0.1j), (0.6 + 0.1j, 0.5 - 0.3j), 1e-6),
+])
+def test_stade_pair_estimate_bounds_error(u, lam, nu, target):
+    # At 40 digits the caller's precision rounds nothing, so the left side's
+    # error is the program's own: the two integrals', the profiles' and the
+    # product's rounding at the working precision, which the estimate once
+    # left out (criterion 5's pair read 4.5e-21 against 2.0e-28).
+    rhs = _gamma_product(u, lam, nu)
+    for which in ("first", "second"):
+        with mp.workdps(40):
+            rep = stade_check(u, lam, nu, which, QuadratureConfig(target_rel_error=target))
+        with mp.workprec(300):
+            assert abs(rep.lhs - rhs) <= rep.diagnostics["quad_error"], which
+
+
+# delta in 2 K_{i delta}: order 0, real orders, complex orders whose
+# |Re delta| = 6 cancels about e^{-3 pi} of the terms, and an imaginary one.
+LATTICE_ORDERS = [0, 0.7, 3, 0.5 + 0.3j, 6 + 0.4j, -6 - 0.2j, -0.9j]
+
+
+def _lattice_chis(delta, prec):
+    """chi_d and its bound at every d of a lattice at the step of
+    `_profile_step`, with z = 2 e^{-d h/2} from about 1e-3 to 500."""
+    h = mp.mpf(whittaker._profile_step([delta], 100))
+    ds = range(int(-2 * mp.log(250) / h), int(-2 * mp.log(5e-4) / h) + 1)
+    with mp.workprec(prec):
+        table = whittaker._profile_table_at(h, ds[-1], [mp.mpc(delta)], prec)
+        (pairs,) = whittaker._lattice_profiles(table, ds, [mp.mpc(delta)])
+        bounds = whittaker._lattice_profile_bounds(table, ds, mp.mpc(delta))
+    unit = -3 * table.width
+    chis = [h * mp.mpc(mp.mpf((re, unit)), mp.mpf((im, unit))) for re, im in pairs]
+    return h, ds, chis, bounds
+
+
+@pytest.mark.parametrize("delta", LATTICE_ORDERS)
+def test_lattice_profiles_match_k_bessel(delta):
+    with mp.workprec(160):
+        h, ds, chis, bounds = _lattice_chis(delta, 100)
+        for d, chi, bound in zip(ds, chis, bounds):
+            exact = 2 * mp.besselk(1j * mp.mpc(delta), 2 * mp.exp(-d * h / 2))
+            assert abs(chi - exact) <= bound, d
+
+
+@pytest.mark.parametrize("delta", LATTICE_ORDERS)
+def test_lattice_profiles_hold_at_two_precisions(delta):
+    with mp.workprec(400):
+        _, ds, low, low_bounds = _lattice_chis(delta, 100)
+        _, _, high, high_bounds = _lattice_chis(delta, 132)
+        for d, a, b, bound_a, bound_b in zip(ds, low, high, low_bounds, high_bounds):
+            assert abs(a - b) <= bound_a + bound_b, d
+
+
+@pytest.mark.parametrize("delta", LATTICE_ORDERS)
+def test_lattice_profile_bound_is_near_the_precision(delta):
+    # At 100 bits the bound stays within 12 bits of the profile, or of its
+    # size e^{-pi |Re delta| / 2} where it is below that, so a caller at the
+    # integrand's precision loses little to it.
+    _, ds, chis, bounds = _lattice_chis(delta, 100)
+    floor = mp.exp(-mp.pi * abs(mp.re(delta)) / 2)
+    for d, chi, bound in zip(ds, chis, bounds):
+        assert bound <= 2.0 ** -88 * max(abs(chi), floor), d
+
+
 def test_n2_error_estimates_bound_the_k_bessel_closed_form():
     # psi_lam(x) = e^{i(lam1 + lam2)(x1 + x2)/2} 2 K_{i(lam1 - lam2)}(2 e^{-(x1 - x2)/2})
     # (the GL(2) Whittaker function).  Called at mpmath's default 53 bits,
