@@ -22,9 +22,8 @@ rounding of terms that outgrow the result.  A contour whose level-0 sum
 would exceed `CONTOUR_NODE_BUDGET` nodes is rejected: u beyond about 950 at
 target 1e-9, or max |Re w_i| beyond about 35 when a + Im w_i = 0.5.
 
-Separable pair kernels.  Both multiple integrals are sums over one node
-set with a pair factor of xi_i - xi_j, and both pair factors split exactly
-into products of single-node factors, so no sum runs over node tuples:
+Pair kernels.  Both multiple integrals are sums over one node set with a
+pair factor of xi_i - xi_j, and neither sum runs over node tuples:
 
 * contour form, any N: with c(d) = -d sin(pi d)/pi and M = N(N-1)/2,
   prod_{i<j} c(xi_i - xi_j) = (-1/(2 pi i))^M det[xi_j^k] det[e^{i pi (2l-N+1) xi_j}]
@@ -33,20 +32,21 @@ into products of single-node factors, so no sum runs over node tuples:
   arXiv:1806.10411) then turns the N-fold node sum into N! det B, with
   B_kl = sum_j G_j xi_j^k e^{i pi (2l-N+1) xi_j} and G_j the node weight
   times the integrand's single-variable factors: O(N^2 n) work per level;
-* spectral form, N = 2: d sinh(pi d) cos(tau d)/pi has rank 8 per chi-grid
-  node tau (the sums of a, a t against e^{+-pi t} cos(tau t), e^{+-pi t}
-  sin(tau t)), O(n m) work instead of O(n^2 m) for m chi-grid nodes.  On
-  the trapezoid grid tau_m = m h of `profile_grid`, e^{i tau_m t_j} =
-  (e^{i h t_j})^m: each node's phase advances by one fixed-point complex
-  multiply per m, whatever the node set.  The phases and the weights are
-  fixed-point integers, so the eight sums per tau are integer dot products.
+* spectral form, N = 2: the nodes of levels 0..k are the whole lattice
+  t_j = j h0 / 2^k on [-T, T], so the pair factor depends only on the lag
+  j - k, and the sum is sum_D K(D step) R(D) over lags, R the weights'
+  autocorrelation (`_lattice_pair_sum`): R at every lag is exact from three
+  big-integer products (`quadrature._fixed_correlation`), the kernel
+  K(d) = d sinh(pi d) chi(d)/pi is tabulated on integers once per lag, in
+  O(n m) work for n lags and m chi-grid nodes, and the total is one integer
+  dot product.
 
-The single-node factors grow with the height H, the largest |Im xi| or |t|,
-so the separated terms can exceed the result: by e^{pi floor(N^2/2) H} for
-det B, whose column l grows like e^{pi |2l-N+1| H}, and by e^{2 pi H} for
-the rank-8 sum.  Each is combined at that many guard bits (log2 e per unit
-of exponent) above the working precision; for the rank-8 sum that is the
-width W of its fixed-point weights.
+The separated terms can exceed the result.  The columns of det B grow like
+e^{pi |2l-N+1| H}, H the largest |Im xi|, so det B is combined at the guard
+bits of e^{pi floor(N^2/2) H} (log2 e per unit of exponent) above the
+working precision.  The spectral kernel grows like e^{pi D step/2} while
+R(D) decays like e^{-pi D step}, so the autocorrelation's weights carry
+the guard bits of e^{pi T}.
 
 Spectral form.  The eigenrelation's right side integrates, along the lines
 R + i a_shift, the display-free factor e^{i xi log u} prod_j Gamma(-i xi - i w_j)
@@ -59,8 +59,9 @@ at the points each refinement level adds, memoised on
 (w, log u, a_shift, h0, T, level, working precision), and both displays of a
 pair read one table: each Gamma factor is evaluated once per lattice point,
 and the second display evaluates none.  The phases e^{i xi log u} of the
-table and, at N = 1, e^{-+i xi x} of each display advance along a level's
-evenly spaced points by one complex multiply each (`_exp_on_lattice`).
+table and e^{-+i xi x} of each display (at N = 2 its centre-of-mass part
+e^{-+i xi sigma}) advance along a level's evenly spaced points by one
+complex multiply each (`_exp_on_lattice`).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import mpf_cos_sin, mpf_mul, to_fixed
+from mpmath.libmp import to_fixed
 
 from .gamma import GammaPoleError, gamma_c
 from .qcore import DomainError, QwlabError, compositions_of_weight
@@ -79,9 +80,10 @@ from .quadrature import (
     TERM_ULPS,
     QuadratureConfig,
     QuadResult,
+    _fixed_correlation,
     _fixed_dot,
+    _fixed_ladder,
     _fixed_point,
-    _fixed_rotate,
     nodes_1d,
     refine,
     trapezoid_refine,
@@ -150,10 +152,13 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
 
     The caller passes u with the sign demanded by the identity under test.
     The Gamma ratios are built by recurrence, so no Gamma evaluations are
-    needed.  The series stops at shell k <= cap once shells k - 1 and k both
-    fall below 2^-prec |total| at the working precision prec; cap is only
-    the upper bound, and the Gamma-pole check still covers every shell up
-    to cap.  The error field carries the magnitude of the last two shells
+    needed.  Both factors are read from tables: per pair i < j the quotient
+    at each shift difference nu_j - nu_i, added as the shells reach it, and
+    per coordinate i the product over j of the Gamma ratios at every shift
+    nu_i <= cap; a term then costs at most N(N-1)/2 + N multiplies.  The
+    series stops at shell k <= cap once shells k - 1 and k both fall below
+    2^-prec |total| at the working precision prec; cap is only the upper
+    bound, and the Gamma-pole check still covers every shell up to cap.  The error field carries the magnitude of the last two shells
     summed plus the sum's own rounding: (k + 1) 2^-prec times the largest
     partial sum for the shells' additions, and TERM_ULPS 2^-prec times the
     terms' modulus mass sum_k |u|^k sum_nu |term| for the terms themselves.
@@ -170,13 +175,12 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
         raise DomainError("cap must be >= 0")
     # Treat anything within working roundoff of a pole as the pole itself.
     near_zero = mp.mpf(2) ** (-mp.mp.prec // 2)
-    # ratio_tab[i][j][m] = Gamma(1 + i d_ij) / Gamma(1 + m + i d_ij)
-    ratio_tab = []
+    # rows[i][m] = prod_j Gamma(1 + i d_ij) / Gamma(1 + m + i d_ij), d_ij = w_j - w_i
+    rows = []
     for i in range(n):
-        row = []
+        row = [mp.mpc(1)] * (cap + 1)
         for j in range(n):
             d = 1j * (w[j] - w[i])
-            vals = [mp.mpc(1)]
             acc = mp.mpc(1)
             for m in range(1, cap + 1):
                 fact = m + d
@@ -185,13 +189,18 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
                         f"Gamma pole in shift ladder: w_{j} - w_{i} = {w[j] - w[i]}"
                     )
                 acc = acc / fact
-                vals.append(acc)
-            row.append(vals)
-        ratio_tab.append(row)
+                row[m] = row[m] * acc
+        rows.append(row)
+    # Per pair i < j, quotient[delta] = (w_j - w_i + i delta) / (w_j - w_i),
+    # filled for delta = +-k as shell k begins.
+    pairs = []
     for i in range(n):
         for j in range(i + 1, n):
             if abs(w[i] - w[j]) < near_zero:
                 raise DomainError("coincident w entries hit a cross-ratio pole")
+            pairs.append((i, j, w[j] - w[i], {}))
+    # points[i][m] = w_i + i m, the arguments f is read at
+    points = [[wi + 1j * m for m in range(cap + 1)] for wi in w]
 
     total = mp.mpc(0)
     shell_mags = []
@@ -201,17 +210,18 @@ def residue_apply(f, w, u, cap: int = 30) -> QuadResult:
     for k in range(cap + 1):
         shell = mp.mpc(0)
         shell_mass = mp.mpf(0)
+        for _, _, diff, quotient in pairs:
+            quotient[k] = (diff + 1j * k) / diff
+            quotient[-k] = (diff - 1j * k) / diff
         for nu in compositions_of_weight(k, n):
             cross = mp.mpc(1)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    cross = cross * (w[j] - w[i] + 1j * (nu[j] - nu[i])) / (w[j] - w[i])
+            for i, j, _, quotient in pairs:
+                cross = cross * quotient[nu[j] - nu[i]]
             ratio = mp.mpc(1)
-            for i in range(n):
-                if nu[i]:
-                    for j in range(n):
-                        ratio = ratio * ratio_tab[i][j][nu[i]]
-            term = cross * ratio * f(tuple(w[i] + 1j * nu[i] for i in range(n)))
+            for row, m in zip(rows, nu):
+                if m:
+                    ratio = ratio * row[m]
+            term = cross * ratio * f(tuple(row[m] for row, m in zip(points, nu)))
             shell = shell + term
             shell_mass = shell_mass + abs(term)
         total = total + upow * shell
@@ -707,10 +717,11 @@ def _spectral_axis(w, log_u, a_shift, h0, T, level: int, work: int) -> tuple:
 def _exp_on_lattice(c, ts, shift) -> list:
     """[e^{c (t + shift)} for t in ts], ts evenly spaced, as the points of
     one `nodes_1d` level are: the first by mp.exp, each next by one multiply
-    by e^{c dt}, dt = ts[1] - ts[0], as `_rank8_pair_sum` advances its
-    phases.  Each multiply rounds by about a unit, so the products carry
-    bit_length(len(ts)) + 4 guard bits and the last is still within a unit
-    of the working precision."""
+    by e^{c dt}, dt = ts[1] - ts[0].  The spectral tables' e^{i xi log u},
+    the N = 1 displays' e^{-+i xi x} and the N = 2 displays' e^{-+i xi sigma}
+    advance along a level this way.  Each multiply rounds by about a unit,
+    so the products carry bit_length(len(ts)) + 4 guard bits and the last
+    is still within a unit of the working precision."""
     if not ts:
         return []
     with mp.workprec(mp.mp.prec + len(ts).bit_length() + 4):
@@ -729,7 +740,10 @@ def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: i
     which only sees the real parts, on `profile_grid` at rate 0, level 0.
     Level k sums over every node pair of the h0 / 2^k lattice on [-T, T],
     the union of the `_spectral_axis` tables of levels 0..k, at weight
-    h0 / 2^k per node; the double sum is `_rank8_pair_sum`."""
+    h0 / 2^k per node; each node's weight carries the display's phase
+    e^{sign i xi sigma}, advanced along the level's points by
+    `_exp_on_lattice`, and the double sum over the lattice is
+    `_lattice_pair_sum`."""
     sigma = (x[0] + x[1]) / 2
     s = x[0] - x[1]
     z = 2 * mp.exp(-s / 2)
@@ -742,60 +756,81 @@ def _baxter_pair_integral(w, u, x, sign, a_shift, cfg: QuadratureConfig, prec: i
     axis = []
 
     def value_at(level):
+        nonlocal axis
+        table = _spectral_axis(w, log_u, a_shift, h0, T, level, prec)
         # phase from psi_{sign * xi}: e^{sign * i xi sigma} per coordinate
-        axis.extend((t, g * mp.exp(sign * 1j * (t + 1j * a_shift) * sigma))
-                    for t, g in _spectral_axis(w, log_u, a_shift, h0, T, level, prec))
-        weight = mp.mpf(h0) / 2**level
-        return (uw * weight**2 * _rank8_pair_sum(axis, h, omegas, prec, T)
-                / ((2 * mp.pi) ** 2 * 2))
+        phases = _exp_on_lattice(sign * 1j * sigma, [t for t, _ in table], 1j * a_shift)
+        # The level's odd lattice points interleave with the last levels'.
+        axis = sorted(axis + [(t, g * phase) for (t, g), phase in zip(table, phases)],
+                      key=lambda node: node[0])
+        step = mp.mpf(h0) / 2**level
+        pairs = _lattice_pair_sum([a for _, a in axis], step, h, omegas, prec)
+        return uw * step**2 * pairs / ((2 * mp.pi) ** 2 * 2)
 
     quad = refine(value_at, range(min(cfg.max_depth, 4)), cfg, "spectral quadrature")
     return quad.value, {**quad.diagnostics, "quad_error": quad.error,
                         "T": T, "chi_nodes": len(omegas), "a_shift": a_shift}
 
 
-def _rank8_pair_sum(axis, h, omegas, prec: int, height):
-    """sum_{j,k} a_j a_k (d sinh(pi d)/pi) chi(d) over all node pairs of
-    `axis`, a list of (t_j, a_j), where d = t_j - t_k and chi(d) =
-    sum_m omega_m cos(tau_m d) on the uniform grid tau_m = m h.
+def _lattice_pair_sum(weights, step, h, omegas, prec: int):
+    """sum_{j,k} a_j a_k K((j - k) step) over the weights a_j of consecutive
+    points of a lattice of the given step, with K(d) = d sinh(pi d) chi(d) / pi
+    and chi(d) = sum_m omega_m cos(m h d) on the grid of `profile_grid`.
+    K is even and K(0) = 0, so the sum is
 
-    For each tau, write A_0(c) = sum a_j e^{c t_j}, A_1(c) = sum a_j t_j e^{c t_j}
-    and F(c) = A_1(c) A_0(-c) - A_0(c) A_1(-c), the pair sum of a a d e^{c d}.
-    Expanding sinh and cos into four exponentials, and using F(-c) = -F(c),
-    the pair sum at tau is (F(pi + i tau) + F(pi - i tau)) / (2 pi).  With
-    A_k(+-pi +- i tau) = sum (a t^k e^{+-pi t}) (cos(tau t) +- i sin(tau t)),
-    that takes eight single-node sums per tau: O(n m) work instead of
-    O(n^2 m).
+        2 sum_{D >= 1} K(D step) R(D),   R(D) = sum_j a_j a_{j-D},
 
-    The sums run on integers.  Each of the four weight lists a t^k e^{+-pi t}
-    is scaled once to W-bit fixed point by its largest entry, W = prec plus
-    the guard bits of |t| <= height.  The phases e^{i tau_m t_j} =
-    (e^{i h t_j})^m start at 1 and advance by one multiply by the tabulated
-    e^{i h t_j} per m, at 2^-scale, so the eight sums per tau are exact
-    integer dot products, combined at W bits.  The table is off by at most 2
-    units per part and each floored product by under 1, so after m steps a
-    phase is off by at most 5 m units; scale = W + bit_length(len(omegas)) + 8
-    keeps that below 2^-(W+5)."""
-    work = prec + _guard_bits(height)
-    scale = work + len(omegas).bit_length() + 8
-    steps = [mpf_cos_sin(mpf_mul(h._mpf_, t._mpf_), scale, "n") for t, _ in axis]
-    step_cos = [to_fixed(c, scale) for c, _ in steps]
-    step_sin = [to_fixed(s, scale) for _, s in steps]
-    cos, sin = [1 << scale] * len(axis), [0] * len(axis)
-    with mp.workprec(work):
-        up = [a * mp.exp(mp.pi * t) for t, a in axis]
-        down = [a * mp.exp(-mp.pi * t) for t, a in axis]
-        up_t = [b * t for (t, _), b in zip(axis, up)]
-        down_t = [b * t for (t, _), b in zip(axis, down)]
-        weights = [_fixed_point(values, work) for values in (up_t, down, up, down_t)]
-        acc = mp.mpc(0)
-        for m, omega in enumerate(omegas):
-            if m:
-                cos, sin = _fixed_rotate(cos, sin, step_cos, step_sin, scale)
-            (ut_c, ut_s), (d_c, d_s), (u_c, u_s), (dt_c, dt_s) = (
-                (_fixed_dot(w, cos, cos, scale), _fixed_dot(w, sin, sin, scale))
-                for w in weights)
-            # (F(pi + i tau) + F(pi - i tau)) / 2: the cross terms of the
-            # conjugate pairs cancel.
-            acc += omega * (ut_c * d_c + ut_s * d_s - u_c * dt_c - u_s * dt_s)
-        return acc / mp.pi
+    R the weights' autocorrelation: only lattice indices enter, not the
+    points themselves.  Everything runs on integers and is rounded once, to
+    prec + 10 bits:
+
+    * the a_j are scaled once to W-bit fixed point (`_fixed_point`), and R
+      at every lag is exact for the scaled weights, three big-integer
+      products (`_fixed_correlation`);
+    * chi at every lag D by Clenshaw's recurrence for the Chebyshev series
+      sum_m omega_m T_m(cos(h D step)), one pass over m for all lags at
+      once, from cos(h D step) of `_fixed_ladder`, at Wk bits;
+    * D sinh(pi D step) from the growing ladder e^{pi D step}
+      (`_fixed_ladder`) and its reciprocal, at Wk bits;
+
+    and the total is one integer dot product of the kernel against R.
+
+    Widths.  The only error in R is the weights' flooring, a few units of
+    2^-W A sum_j |a_j| at each lag, A = max |a_j|, and K(D step) multiplies
+    it.  The spectral weights decay like e^{-pi |t|}, so R(D) falls like
+    e^{-pi D step} while K grows like e^{pi D step / 2} (chi(d) =
+    2 K_{id}(z) falls like e^{-pi d / 2}): the sum is the size of its first
+    lags, but a flooring error at the longest lag, 2 T = (n - 1) step, is
+    amplified by e^{pi T}.  So W = prec + pi T log2 e + 2 bit_length(n) + 8,
+    the last for the n lags of an n-term sum.  The kernel's errors are
+    relative, or absolute on chi, whose weight sinh(pi D step) R(D) stays
+    bounded: the ladders are off by at most 5 D + 3 units, and over the
+    M chi-grid nodes the Chebyshev series turns an error e in cos into at
+    most sum_m m^2 |omega_m| e and its own rounding into at most M^2 units,
+    so Wk = prec + 2 bit_length(M) + bit_length(5 n + 3) + 2 bit_length(n)
+    + 8."""
+    n = len(weights)
+    guard = math.ceil(math.pi * float((n - 1) * step) / 2 * math.log2(math.e))
+    width = prec + guard + 2 * n.bit_length() + 8
+    kwidth = (prec + 2 * len(omegas).bit_length() + (5 * n + 3).bit_length()
+              + 2 * n.bit_length() + 8)
+    re, im, shift = _fixed_point(weights, width)
+    corr_re, corr_im = _fixed_correlation((re, im), (re, im))
+    # The ladders' steps at their own precision: D times a rounded step
+    # would drift by D of its ulps.
+    with mp.workprec(kwidth + n.bit_length() + 8):
+        cos, _ = _fixed_ladder(1j * h * step, 1, 1, n - 1, kwidth)
+        ups, _ = _fixed_ladder(mp.pi * step, 1, 1, n - 1, kwidth)
+    omega = [to_fixed(v._mpf_, kwidth) for v in omegas]
+    # Clenshaw: b_m = omega_m + 2 x b_{m+1} - b_{m+2}, chi = omega_0 + x b_1 - b_2.
+    twice = [c << 1 for c in cos]
+    b1 = b2 = [0] * (n - 1)
+    for w_m in reversed(omega[1:]):
+        b1, b2 = [w_m + ((x * p) >> kwidth) - q for x, p, q in zip(twice, b1, b2)], b1
+    chi = [omega[0] + ((x * p) >> (kwidth + 1)) - q for x, p, q in zip(twice, b1, b2)]
+    # 2 D sinh(pi D step) chi(D step), at 2^-(2 kwidth), for D = 1 .. n - 1.
+    kernel = [d * (up - (1 << 2 * kwidth) // up) * c
+              for d, (up, c) in enumerate(zip(ups, chi), 1)]
+    with mp.workprec(prec + 10):
+        return step / mp.pi * _fixed_dot((corr_re[n:], corr_im[n:], 2 * shift),
+                                         kernel, kernel, 2 * kwidth)

@@ -202,11 +202,15 @@ def integrate_1d(f, lo, hi, cfg: QuadratureConfig, strip) -> QuadResult:
 # These sums run on integers: the GL(2) profile (`whittaker.pair_profile`),
 # the profiles on a lattice and the N = 3 row-2 sums
 # (`whittaker._lattice_profiles`, `whittaker._pattern_sum_3`), and the
-# rank-8 pair sum of the N = 2 spectral integral (`baxter._rank8_pair_sum`).
-# Their weights are integers at 2^-shift (the
-# rank-8 sum scales its mpc weights once by `_fixed_point`), their phases
-# are integers at 2^-scale advanced by `_fixed_rotate`, and each sum is an
-# exact integer dot product (`_fixed_dot`), rounded once.
+# pair sum of the N = 2 spectral integral (`baxter._lattice_pair_sum`).
+# Their weights are integers at 2^-shift (mpc weights are scaled once by
+# `_fixed_point`), their phases are integers at 2^-scale advanced by
+# `_fixed_rotate` and `_fixed_ladder`, and each sum is an exact integer dot
+# product (`_fixed_dot`), rounded once.  Where a sum runs over the lags of
+# two lists on one lattice, sum_j x_j y_{j-D} for every D, all the lags come
+# exactly from one big-integer product per real part
+# (`_fixed_correlation`): the N = 3 row-2 correlations and the
+# autocorrelation of the N = 2 spectral weights.
 
 
 def _fixed_point(values, bits: int):
@@ -227,6 +231,46 @@ def _fixed_dot(weights, re_phases, im_phases, scale: int):
     unit = -(shift + scale)
     return mp.mpc(mp.mpf((sum(map(operator.mul, re, re_phases)), unit)),
                   mp.mpf((sum(map(operator.mul, im, im_phases)), unit)))
+
+
+def _fixed_correlation(x, y):
+    """sum_j x_j y_{j-D} for every lag D = 1 - len(y), ..., len(x) - 1, in
+    that order, y_k taken as 0 outside 0 <= k < len(y), for complex integer
+    lists x = (re, im) and y = (re, im): exact integer lists (re, im).
+
+    A complex correlation is three real ones (P_rr - P_ii, and
+    P_ss - P_rr - P_ii with s = re + im), and each real one is one
+    big-integer product by Kronecker substitution (D. Harvey, J. Symbolic
+    Comput. 44, 2009): X = sum_j x_j 2^{B j} times Y, the reversed y packed
+    alike, holds the lag-D sum in its digit m = D + len(y) - 1.  B bits hold
+    any such sum with its sign, and the digits are biased by 2^{B-1}, so that
+    int.from_bytes packs a list and to_bytes slices the product, in O(size)."""
+    (xr, xi), (yr, yi) = x, y
+    rr = _real_correlation(xr, yr)
+    ii = _real_correlation(xi, yi)
+    ss = _real_correlation(list(map(operator.add, xr, xi)), list(map(operator.add, yr, yi)))
+    return (list(map(operator.sub, rr, ii)),
+            [s - r - i for s, r, i in zip(ss, rr, ii)])
+
+
+def _real_correlation(x, y) -> list:
+    """`_fixed_correlation` of one pair of real integer lists."""
+    lags = len(x) + len(y) - 1
+    top = (max(map(abs, x)).bit_length() + max(map(abs, y)).bit_length()
+           + min(len(x), len(y)).bit_length())
+    size = top // 8 + 1  # bytes per digit: every |sum| is below 2^(8 size - 1)
+    half = 1 << (8 * size - 1)
+    biased_half = half.to_bytes(size, "little")
+
+    def pack(values):
+        digits = b"".join((v + half).to_bytes(size, "little") for v in values)
+        return (int.from_bytes(digits, "little")
+                - int.from_bytes(biased_half * len(values), "little"))
+
+    product = pack(x) * pack(y[::-1]) + int.from_bytes(biased_half * lags, "little")
+    digits = product.to_bytes(lags * size, "little")
+    return [int.from_bytes(digits[k:k + size], "little") - half
+            for k in range(0, lags * size, size)]
 
 
 def _fixed_rotate(cos, sin, step_cos, step_sin, scale: int):

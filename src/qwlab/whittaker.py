@@ -54,6 +54,7 @@ from .qcore import DomainError
 from .quadrature import (
     QuadratureConfig,
     QuadResult,
+    _fixed_correlation,
     _fixed_dot,
     _fixed_ladder,
     _fixed_point,
@@ -150,9 +151,11 @@ def _pattern_sum_3(lam, x, h, L):
     a_i and b_j the row-2 couplings to x times the phase
     e^{i (lam1 + lam2 - 2 lam3) z / 2}: O(n) exponentials per level for n
     lattice nodes per axis.  This is one step of Givental's recursion
-    (Givental 1997) read as a quadrature sum.  The correlations
-    sum_i a_i b_{i-d} and their sum against chi_d are integer dot products,
-    a and b scaled once by `_fixed_point`, at the profiles' width."""
+    (Givental 1997) read as a quadrature sum.  a and b are scaled once by
+    `_fixed_point`, at the profiles' width; the correlations
+    sum_i a_i b_{i-d} at every d are exact integers from one
+    `_fixed_correlation`, and their sum against chi_d is an integer dot
+    product."""
     l1, l2, l3 = lam
     x1, x2, x3 = x
     delta = l1 - l2
@@ -182,18 +185,16 @@ def _pattern_sum_3(lam, x, h, L):
                            (kcut + dmax) // 2)
     (chis,) = _lattice_profiles(_profile_table(h, kcut, dmax, width), ds, [delta])
     # The row-2 correlations sum_i a_i b_{i-d}, and their sum against chi_d,
-    # on integers: a and b at 2^-shift, chi_d at 2^-(3 width).
+    # on integers: a and b at 2^-shift, chi_d at 2^-(3 width).  The
+    # correlation starts at lag d = i0 - j1 and is read from d = dmin on.
     re, im, shift = _fixed_point(a + b, width)
     n = len(a)
-    ar, ai, br, bi = re[:n], im[:n], re[n:], im[n:]
-    total_re = total_im = 0
-    for d, (cr, ci) in zip(ds, chis):
-        lo, hi = max(i0, j0 + d), min(i1, j1 + d)
-        sa, sb = slice(lo - i0, hi - i0 + 1), slice(lo - d - j0, hi - d - j0 + 1)
-        rr = _dot(ar[sa], br[sb]) - _dot(ai[sa], bi[sb])
-        ri = _dot(ar[sa], bi[sb]) + _dot(ai[sa], br[sb])
-        total_re += cr * rr - ci * ri
-        total_im += cr * ri + ci * rr
+    corr_re, corr_im = _fixed_correlation((re[:n], im[:n]), (re[n:], im[n:]))
+    first = dmin - (i0 - j1)
+    rr, ri = corr_re[first:], corr_im[first:]
+    chi_re, chi_im = [c for c, _ in chis], [c for _, c in chis]
+    total_re = _dot(chi_re, rr) - _dot(chi_im, ri)
+    total_im = _dot(chi_re, ri) + _dot(chi_im, rr)
     unit = -(3 * width + 2 * shift)
     total = mp.mpc(mp.mpf((total_re, unit)), mp.mpf((total_im, unit)))
     return h ** 3 * mp.exp(1j * l3 * (x1 + x2 + x3)) * total

@@ -12,7 +12,7 @@ import qwlab.whittaker
 from qwlab.baxter import (
     TestFunction as CutoffFunction,
     _hyperbola,
-    _rank8_pair_sum,
+    _lattice_pair_sum,
     baxter_eigen_check,
     contour_apply,
     gamma_identity_check,
@@ -22,7 +22,7 @@ from qwlab.baxter import (
 )
 from qwlab.gamma import gamma_c
 from qwlab.qcore import DomainError
-from qwlab.quadrature import QuadratureConfig, QuadratureError, nodes_1d
+from qwlab.quadrature import QuadratureConfig, QuadratureError
 from qwlab.whittaker import (
     pair_coupling,
     pair_profile,
@@ -505,42 +505,65 @@ def test_lemma_rejects_a_negative_cap_before_the_contour(monkeypatch):
         lemma1_check(CutoffFunction("constant"), W1, 1.0, 1.0, cap=-1)
 
 
-def _spectral_axis(prec, rng):
-    """The nodes_1d points of a random level on a random interval and
-    lattice, with random complex weights and a random uniform chi grid
-    (h, omegas)."""
-    lo, hi = mp.mpf(rng.uniform(-3, 0)), mp.mpf(rng.uniform(0.5, 3))
-    level = rng.randrange(3)
-    nodes = nodes_1d(level, lo, hi, rng.uniform(0.05, 0.2))
-    weights = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in nodes]
-    h = mp.mpf(rng.uniform(0.05, 0.3))
-    omegas = [mp.mpf(rng.uniform(0, 1)) for _ in range(24)]
-    return nodes, weights, h, omegas, max(abs(lo), abs(hi))
+def _random_lattice(prec, rng):
+    """Random complex weights on consecutive points of a random lattice
+    step, and a random uniform chi grid (h, omegas)."""
+    with mp.workprec(prec):
+        weights = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                   for _ in range(rng.randrange(10, 60))]
+        step, h = mp.mpf(rng.uniform(0.05, 0.2)), mp.mpf(rng.uniform(0.05, 0.3))
+        omegas = [mp.mpf(rng.uniform(0, 1)) for _ in range(24)]
+    return weights, step, h, omegas, prec
+
+
+def _criterion_6_lattices(prec, monkeypatch):
+    """The arguments of every `_lattice_pair_sum` call that criterion 6's N = 2
+    check makes, at a_shift 1.1 and 2.0, at the given working precision."""
+    calls = []
+    original = qwlab.baxter._lattice_pair_sum
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(qwlab.baxter, "_lattice_pair_sum", recording)
+    cfg = QuadratureConfig(target_rel_error=1e-5, prec_bits=prec)
+    for a_shift in (1.1, 2.0):
+        baxter_eigen_check((mp.mpc(0.2, -0.5), mp.mpc(-0.1, -0.6)), 1.0, (0.3, -0.3),
+                           "second", cfg, tolerance=1e-3, a_shift=a_shift)
+    assert {args[-1] for args in calls} == {prec}
+    return calls
+
+
+def _direct_pair_loop(weights, step, h, omegas, prec):
+    """sum over j != k of a_j a_k K((j - k) step) at prec + 60 bits, pair by
+    pair, K(d) = d sinh(pi d) chi(d) / pi, chi memoised per lag."""
+    with mp.workprec(prec + 60):
+
+        @lru_cache(maxsize=None)
+        def kernel(lag):
+            d = lag * step
+            # sum_m omega_m cos(m h d) as the real part of a polynomial in e^{ihd}
+            chi = mp.re(mp.polyval(omegas[::-1], mp.expj(h * d)))
+            return d * mp.sinh(mp.pi * d) / mp.pi * chi
+
+        return mp.fsum(weights[j] * weights[k] * kernel(abs(j - k))
+                       for j in range(len(weights)) for k in range(len(weights)) if j != k)
 
 
 @pytest.mark.parametrize("prec", [64, 128])
-def test_spectral_pair_sum_matches_direct_pair_loop(prec):
+def test_spectral_pair_sum_matches_direct_pair_loop(prec, monkeypatch):
+    # The lattice route reads only lattice indices, so the direct loop takes
+    # the differences (j - k) step exactly.
     rng = random.Random(5)
-    with mp.workprec(prec):
-        nodes, weights, h, omegas, height = _spectral_axis(prec, rng)
-        # The same nodes, each moved a few units in its last place off the
-        # point nodes_1d rounded it to.
-        nudged = [t + rng.randint(-4, 4) * mp.mpf(2) ** (mp.mag(t) - prec) for t in nodes]
-    assert nudged != nodes
-    for axis_nodes in (nodes, nudged):
-        axis = list(zip(axis_nodes, weights))
+    cases = [_random_lattice(prec, rng) for _ in range(4)]
+    cases += _criterion_6_lattices(prec, monkeypatch)
+    for weights, step, h, omegas, bits in cases:
         with mp.workprec(prec):
-            separable = _rank8_pair_sum(axis, h, omegas, prec, height)
+            fast = _lattice_pair_sum(weights, step, h, omegas, bits)
+        direct = _direct_pair_loop(weights, step, h, omegas, prec)
         with mp.workprec(prec + 60):
-            direct = mp.mpc(0)
-            for j in range(len(axis)):
-                for k in range(j + 1, len(axis)):
-                    (tj, aj), (tk, ak) = axis[j], axis[k]
-                    d = tj - tk
-                    # sum_m omega_m cos(m h d) as the real part of a polynomial in e^{ihd}
-                    chi = mp.re(mp.polyval(omegas[::-1], mp.expj(h * d)))
-                    direct += 2 * aj * ak * (d * mp.sinh(mp.pi * d) / mp.pi) * chi
-            assert abs(separable - direct) < mp.mpf(2) ** -prec * abs(direct)
+            assert abs(fast - direct) <= mp.mpf(2) ** -(prec + 4) * abs(direct), len(weights)
 
 
 @pytest.mark.parametrize("s", [-1.5, 0.6, 3.0])
@@ -563,8 +586,8 @@ def test_chi_grid_matches_k_bessel(s):
 
 
 # (rhs, quad_error) of criterion 6's inputs at each line height, as the
-# trapezoid chi grid and the integer rank-8 kernel give them.  At
-# x = (0.3, -0.3) both displays give the same values.
+# trapezoid chi grid and the integer lag kernel (`_lattice_pair_sum`) give
+# them.  At x = (0.3, -0.3) both displays give the same values.
 PAIR_INTEGRAL_BITS = {
     1.1: (((0, 16400607672477328689, -67, 64), (1, 16829441616088344927, -73, 64)),
           (0, 4771646707152758265, -86, 63)),

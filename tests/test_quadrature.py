@@ -1,5 +1,6 @@
 import ast
 import pkgutil
+import random
 from pathlib import Path
 
 import mpmath as mp
@@ -14,6 +15,7 @@ from qwlab.quadrature import (
     GAUSS_LEGENDRE,
     QuadratureConfig,
     QuadratureError,
+    _fixed_correlation,
     integrate_1d,
     nodes_1d,
     refine,
@@ -184,14 +186,38 @@ def test_one_refinement_loop():
     assert raises == {"quadrature": 1}
 
 
+FIXED_POINT_HELPERS = ("_fixed_point", "_fixed_dot", "_fixed_correlation", "_real_correlation")
+
+
 def test_one_fixed_point_copy():
-    # The profile sum and the rank-8 pair sum scale and dot on integers
-    # through one copy of the fixed-point helpers.
+    # The profile sums, the N = 3 row-2 correlations and the N = 2 spectral
+    # pair sum scale, correlate and dot on integers through one copy of the
+    # fixed-point helpers.
     src = Path(qwlab.__file__).parent
     defined = {}
     for info in pkgutil.iter_modules(qwlab.__path__):
         tree = ast.parse((src / f"{info.name}.py").read_text())
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name in ("_fixed_point", "_fixed_dot"):
+            if isinstance(node, ast.FunctionDef) and node.name in FIXED_POINT_HELPERS:
                 defined.setdefault(node.name, []).append(info.name)
-    assert defined == {"_fixed_point": ["quadrature"], "_fixed_dot": ["quadrature"]}
+    assert defined == {name: ["quadrature"] for name in FIXED_POINT_HELPERS}
+
+
+def test_fixed_correlation_matches_direct_sums():
+    # Every lag of two complex integer lists, exactly, including lists of
+    # different lengths, signs, zeros and sizes from 1 to 300 bits.
+    rng = random.Random(11)
+    for bits in (1, 8, 64, 300):
+        for nx, ny in ((1, 1), (5, 1), (1, 7), (17, 9), (40, 40)):
+            x, y = ([[rng.randint(-2**bits, 2**bits) for _ in range(k)] for _ in range(2)]
+                    for k in (nx, ny))
+            re, im = _fixed_correlation(x, y)
+            for lag in range(1 - ny, nx):
+                pairs = [(j, j - lag) for j in range(nx) if 0 <= j - lag < ny]
+                assert re[lag + ny - 1] == sum(x[0][j] * y[0][k] - x[1][j] * y[1][k]
+                                               for j, k in pairs)
+                assert im[lag + ny - 1] == sum(x[0][j] * y[1][k] + x[1][j] * y[0][k]
+                                               for j, k in pairs)
+    top = 2**64 - 1
+    assert _fixed_correlation(([-top] * 30, [top] * 30), ([top] * 30, [0] * 30))[0][29] == \
+        -30 * top * top
